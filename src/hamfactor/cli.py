@@ -58,7 +58,6 @@ from .linalg import (
     block_det_schur,
     det_lu,
     hermitian_eigen,
-    logabsdet_lu,
     schur_factor_check,
 )
 from .quantize import (
@@ -68,8 +67,8 @@ from .quantize import (
     coupled_pencil,
     eliminate_pencil,
     kinetic_square_residual,
-    pencil_root_distance,
     random_spinor,
+    root_distance,
 )
 from .spin import commutator_table, embed_spin, product_identity_residual
 from .units import ATOMIC, Units
@@ -103,8 +102,10 @@ ZEEMAN_PRESETS: dict[str, float] = {
 
 SOLVE1D_PRESETS = ("box", "harmonic")
 
-#: Pencil dimension above which solve1d skips the determinant column.
-MAX_DET_DIMENSION = 801
+#: Largest working set solve1d may need, in bytes (see ``solve1d_bytes``);
+#: a larger grid is a configuration error, reported before any allocation.
+#: 2 GiB admits n up to 4729.
+SOLVE1D_MAX_BYTES = 2 * 1024**3
 
 #: Grids below this interior point count are flagged "coarse" in metadata.
 COARSE_GRID_LIMIT = 50
@@ -428,12 +429,27 @@ def _potential_samples(potential, grid: Grid1D) -> np.ndarray:
     return np.asarray(values)
 
 
+def solve1d_bytes(n: int) -> int:
+    """Upper estimate of solve1d's peak working set for n interior points.
+
+    The (n + 1) x n momentum, the n x n operator, its eigenvectors and the
+    eigensolver's temporaries come to about six complex n x n arrays at
+    the peak (measured: 81-92 bytes per n^2 at n = 1000-2000).
+    """
+    return 6 * 16 * (n + 1) * n
+
+
 def run_solve1d(args: argparse.Namespace) -> int:
     config = _load_config(args.config) if args.config else {}
     allowed = ("potential", "n", "x_min", "x_max", "mass", "count", "units")
     _reject_unknown_keys(config, allowed, "solve1d config")
     potential = args.preset if args.preset is not None else config.get("potential", "box")
     n = _require_int(args.n if args.n is not None else config.get("n", 200), "n", 3)
+    if solve1d_bytes(n) > SOLVE1D_MAX_BYTES:
+        raise ConfigError(
+            f"n = {n} needs about {solve1d_bytes(n):,} bytes, "
+            f"above the solve1d limit of {SOLVE1D_MAX_BYTES:,} bytes"
+        )
     default_span = (0.0, 1.0) if potential == "box" else (-12.0, 12.0)
     x_min = _require_real(config.get("x_min", default_span[0]), "x_min")
     x_max = _require_real(config.get("x_max", default_span[1]), "x_max")
@@ -453,22 +469,17 @@ def run_solve1d(args: argparse.Namespace) -> int:
     hamiltonian = eliminate_pencil(pencil)
     values, vectors = hermitian_eigen(hamiltonian)
 
-    det_enabled = pencil.size <= MAX_DET_DIMENSION
     all_values = np.real(values)
     rows = []
     for index in range(count):
         energy = float(values[index])
         state = vectors[:, index]
         hamiltonian_residual = float(np.abs(hamiltonian @ state - energy * state).max())
-        if det_enabled:
-            log_magnitude, _ = logabsdet_lu(pencil.matrix(energy))
-            log10_det = log_magnitude / math.log(10.0)
-            det_cell = "-inf" if math.isinf(log10_det) else repr(log10_det)
-            distance = pencil_root_distance(pencil, energy, all_values)
-            distance_cell = "-inf" if distance == 0.0 else repr(math.log10(distance))
-        else:
-            det_cell = ""
-            distance_cell = ""
+        log_magnitude = pencil.log_abs_det(energy)
+        log10_det = log_magnitude / math.log(10.0)
+        det_cell = "-inf" if math.isinf(log10_det) else repr(log10_det)
+        distance = root_distance(log_magnitude, energy, all_values)
+        distance_cell = "-inf" if distance == 0.0 else repr(math.log10(distance))
         rows.append((index, repr(energy), repr(hamiltonian_residual), det_cell, distance_cell))
 
     potential_name = potential if isinstance(potential, str) else "table"
@@ -483,7 +494,6 @@ def run_solve1d(args: argparse.Namespace) -> int:
         "mass": repr(mass),
         "count": count,
         "coarse": "true" if n < COARSE_GRID_LIMIT else "false",
-        "pencil_determinant": "included" if det_enabled else f"skipped (dimension {pencil.size} > {MAX_DET_DIMENSION})",
         "singularity_guard_log10": repr(math.log10(PENCIL_SINGULARITY_GUARD)),
     }
     header = ("index", "energy", "residual", "log10_abs_det_pencil", "log10_root_distance")

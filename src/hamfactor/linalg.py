@@ -4,7 +4,9 @@ All routines operate on plain numpy arrays with ``complex128`` entries
 and are sized for desk-scale matrices.  Determinants and null spaces use
 explicit elimination so pivoting and rank decisions stay visible; the
 Hermitian eigensolver defers to LAPACK, which meets the residual
-contract with orders of magnitude to spare at these sizes.
+contract with orders of magnitude to spare at these sizes.  Real
+symmetric tridiagonal determinants have their own O(n) banded
+elimination.
 """
 
 from __future__ import annotations
@@ -110,6 +112,52 @@ def logabsdet_lu(m) -> tuple[float, complex]:
             mult = a[k + 1 :, k] / pivot
             a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
     return log_abs, phase
+
+
+def logabsdet_tridiagonal(diagonal, offdiagonal) -> tuple[float, float]:
+    """``(log|det T|, sign)`` of a real symmetric tridiagonal matrix T.
+
+    ``diagonal`` holds the n diagonal entries and ``offdiagonal`` the
+    n - 1 entries beside them.  Elimination pivots like LAPACK ?gttrf:
+    at each step the row with the larger entry in the pivot column
+    leads, so a row swap gives U a second superdiagonal.  Only the two
+    live entries of the row being reduced are kept, so the cost is O(n)
+    and no matrix is formed.  An exactly singular matrix returns
+    ``(-inf, 0)``.
+    """
+    d = np.asarray(diagonal, dtype=float)
+    off = np.asarray(offdiagonal, dtype=float)
+    if d.ndim != 1 or off.shape != (max(d.size - 1, 0),):
+        raise ValueError(
+            f"need n diagonal and n - 1 off-diagonal entries, got shapes {d.shape} and {off.shape}"
+        )
+    if not (np.isfinite(d).all() and np.isfinite(off).all()):
+        raise ValueError("matrix entries must be finite")
+    if d.size == 0:
+        return 0.0, 1.0
+    off = off.tolist() + [0.0]
+    pivots = []
+    swaps = 0
+    # Row i is (lead, upper) in columns i, i + 1; row i + 1 is
+    # (below, diag, beyond) in columns i .. i + 2.
+    lead, upper = float(d[0]), off[0]
+    for below, diag, beyond in zip(off, d[1:].tolist(), off[1:]):
+        if abs(lead) >= abs(below):
+            if lead == 0.0:
+                return -math.inf, 0.0
+            pivots.append(lead)
+            lead, upper = diag - below / lead * upper, beyond
+        else:
+            pivots.append(below)
+            factor = lead / below
+            lead, upper = upper - factor * diag, -factor * beyond
+            swaps += 1
+    if lead == 0.0:
+        return -math.inf, 0.0
+    pivots.append(lead)
+    p = np.array(pivots)
+    negatives = swaps + int(np.count_nonzero(p < 0.0))
+    return float(np.log(np.abs(p)).sum()), -1.0 if negatives % 2 else 1.0
 
 
 def _split_blocks(a: np.ndarray, k: int):

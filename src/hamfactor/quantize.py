@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import logabsdet_lu
+from .linalg import logabsdet_lu, logabsdet_tridiagonal
 from .polynomials import DEFAULT_MAX_DEGREE, Polynomial, PolySpinor, random_polynomial
 from .spin import embed_spin
 from .units import ATOMIC, Units
@@ -91,10 +91,16 @@ class Pencil1D:
     The leading n rows read (E - V) psi1 + M^H psi2 = 0 and the trailing
     rows read M psi1 + psi2 = 0, with M the scaled momentum matrix, so
     eliminating psi2 yields the second-order operator M^H M + diag(V).
+
+    When M is lower bidiagonal, (n + 1) x n as the staggered scheme
+    builds it, its diagonal and subdiagonal are kept in ``bands``; every
+    other momentum matrix leaves ``bands`` as None and takes the dense
+    routes.
     """
 
     momentum: np.ndarray
     potential: np.ndarray
+    bands: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         momentum = np.asarray(self.momentum, dtype=np.complex128)
@@ -109,6 +115,7 @@ class Pencil1D:
             raise ValueError("pencil data must be finite")
         object.__setattr__(self, "momentum", momentum)
         object.__setattr__(self, "potential", potential)
+        object.__setattr__(self, "bands", _lower_bidiagonal_bands(momentum))
 
     @property
     def n(self) -> int:
@@ -129,6 +136,41 @@ class Pencil1D:
         g[n:, n:] = np.eye(m)
         return g
 
+    def log_abs_det(self, energy: float) -> float:
+        """log|det G(E)|, from one O(n) banded factorization when M is bidiagonal.
+
+        Ordering rows and columns as psi2_0, psi1_0, psi2_1, psi1_1, ...,
+        psi2_n makes G(E) tridiagonal with diagonal 1, E - V_0, 1, ..., 1
+        and off-diagonal M_00, M_10, M_11, M_21, ...; a diagonal unitary
+        similarity then turns the off-diagonal into its moduli.  Neither
+        step changes the determinant.  Other momentum matrices factor the
+        dense pencil.
+        """
+        if self.bands is None:
+            return logabsdet_lu(self.matrix(energy))[0]
+        diag_band, sub_band = self.bands
+        diagonal = np.ones(self.size)
+        diagonal[1::2] = energy - self.potential
+        offdiagonal = np.empty(2 * self.n)
+        offdiagonal[0::2] = np.abs(diag_band)
+        offdiagonal[1::2] = np.abs(sub_band)
+        return logabsdet_tridiagonal(diagonal, offdiagonal)[0]
+
+
+def _lower_bidiagonal_bands(momentum: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(M[k, k], M[k + 1, k]) for an (n + 1) x n lower-bidiagonal M, else None.
+
+    Read row-major with rows of length n + 1, M puts M[k, k] in column 0
+    and M[k + 1, k] in column n of row k; every other entry must vanish.
+    """
+    rows, n = momentum.shape
+    if rows != n + 1:
+        return None
+    folded = momentum.reshape(n, n + 1)
+    if folded[:, 1:n].any():
+        return None
+    return folded[:, 0].copy(), folded[:, n].copy()
+
 
 def coupled_pencil(
     grid: Grid1D,
@@ -145,9 +187,23 @@ def coupled_pencil(
 
 
 def eliminate_pencil(pencil: Pencil1D) -> np.ndarray:
-    """Exact Schur complement onto the state block: M^H M + diag(V)."""
-    m = pencil.momentum
-    return m.conj().T @ m + np.diag(pencil.potential.astype(np.complex128))
+    """Exact Schur complement onto the state block: M^H M + diag(V).
+
+    With a bidiagonal M (diagonal a, subdiagonal b) the product is
+    tridiagonal, |a_j|^2 + |b_j|^2 on the diagonal and conj(b_j) a_(j+1)
+    above it, and is written straight into the one n x n result.
+    """
+    if pencil.bands is None:
+        m = pencil.momentum
+        return m.conj().T @ m + np.diag(pencil.potential.astype(np.complex128))
+    a, b = pencil.bands
+    n = pencil.n
+    out = np.zeros((n, n), dtype=np.complex128)
+    flat = out.reshape(-1)
+    flat[:: n + 1] = (a.conj() * a + b.conj() * b) + pencil.potential
+    flat[1 :: n + 1] = b[:-1].conj() * a[1:]
+    flat[n :: n + 1] = a[1:].conj() * b[:-1]
+    return out
 
 
 def auxiliary_component(pencil: Pencil1D, psi1) -> np.ndarray:
@@ -159,33 +215,32 @@ def auxiliary_component(pencil: Pencil1D, psi1) -> np.ndarray:
 
 
 #: Eigenvalues within this relative band of the nearest one are treated as
-#: a single root cluster by pencil_root_distance.  Symmetric potentials
+#: a single root cluster by root_distance.  Symmetric potentials
 #: produce numerically exact double eigenvalues (wall-localized parity
 #: pairs), and dividing by a zero gap would wreck the estimate.
 CLUSTER_RESOLUTION = 1e-9
 
 
-def pencil_root_distance(pencil: Pencil1D, energy: float, spectrum) -> float:
+def root_distance(log_abs_det: float, energy: float, spectrum) -> float:
     """Distance from ``energy`` to the nearest determinant root, relative to the spectral radius.
 
-    The pencil determinant equals the characteristic polynomial of the
-    eliminated operator, so |det G(E)| divided by the product of gaps to
-    the remote eigenvalues estimates the distance to the nearest root.
-    Roots closer than ``CLUSTER_RESOLUTION`` times the spectral radius
-    count as one cluster of multiplicity m, and the estimate is the
-    geometric mean distance (m-th root of the remaining product), which
-    keeps exactly degenerate pairs finite.  Everything runs in log space,
-    so the astronomical raw determinant never overflows.  At a true
-    eigenvalue the relative distance sits at rounding level (below
-    1e-12); between eigenvalues it reports the gap to the closer one.
+    ``log_abs_det`` is log|det G(energy)| and ``spectrum`` holds every
+    eigenvalue of the eliminated operator.  The pencil determinant equals
+    the characteristic polynomial of that operator, so |det G(E)| divided
+    by the product of gaps to the remote eigenvalues estimates the
+    distance to the nearest root.  Roots closer than
+    ``CLUSTER_RESOLUTION`` times the spectral radius count as one cluster
+    of multiplicity m, and the estimate is the geometric mean distance
+    (m-th root of the remaining product), which keeps exactly degenerate
+    pairs finite.  Everything runs in log space, so the astronomical raw
+    determinant never overflows.  At a true eigenvalue the relative
+    distance sits at rounding level (below 1e-12); between eigenvalues it
+    reports the gap to the closer one.
     """
     spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.ndim != 1 or spectrum.size != pencil.n:
-        raise ValueError(
-            f"spectrum must hold all {pencil.n} eigenvalues, got shape {spectrum.shape}"
-        )
-    log_num, _ = logabsdet_lu(pencil.matrix(energy))
-    if math.isinf(log_num):
+    if spectrum.ndim != 1 or spectrum.size == 0:
+        raise ValueError(f"spectrum must be a nonempty vector of eigenvalues, got shape {spectrum.shape}")
+    if math.isinf(log_abs_det):
         return 0.0
     gaps = np.sort(np.abs(energy - spectrum))
     scale = float(np.abs(spectrum).max())
@@ -195,10 +250,20 @@ def pencil_root_distance(pencil: Pencil1D, energy: float, spectrum) -> float:
     # within the resolution band belongs to the same cluster.
     multiplicity = max(1, int(np.count_nonzero(gaps <= CLUSTER_RESOLUTION * scale)))
     log_den = float(np.sum(np.log(gaps[multiplicity:])))
-    exponent = (log_num - log_den) / multiplicity
+    exponent = (log_abs_det - log_den) / multiplicity
     if exponent > 700.0:  # exp would overflow; the point is nowhere near a root
         return math.inf
     return math.exp(exponent) / scale
+
+
+def pencil_root_distance(pencil: Pencil1D, energy: float, spectrum) -> float:
+    """``root_distance`` with log|det G(energy)| taken from the pencil."""
+    spectrum = np.asarray(spectrum, dtype=float)
+    if spectrum.ndim != 1 or spectrum.size != pencil.n:
+        raise ValueError(
+            f"spectrum must hold all {pencil.n} eigenvalues, got shape {spectrum.shape}"
+        )
+    return root_distance(pencil.log_abs_det(energy), energy, spectrum)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,10 +8,13 @@ tolerance violation (report still written), 2 for configuration errors.
 import csv
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from hamfactor.cli import DEFAULT_TOLERANCES, main
+from hamfactor import quantize
+from hamfactor.cli import DEFAULT_TOLERANCES, SOLVE1D_MAX_BYTES, main, solve1d_bytes
+from hamfactor.linalg import logabsdet_tridiagonal
 
 
 def run(*args):
@@ -178,7 +181,6 @@ class TestSolve1d:
         ]
         assert metadata["potential"] == "box"
         assert metadata["coarse"] == "false"
-        assert metadata["pencil_determinant"] == "included"
         assert len(rows) == 12
         exact = math.pi**2 / 2.0
         ground = float(rows[0][1])
@@ -207,13 +209,47 @@ class TestSolve1d:
         assert metadata["coarse"] == "true"
         assert len(rows) == 10  # count clipped to n
 
-    def test_determinant_skipped_above_dimension_cap(self, tmp_path):
+    def test_determinant_columns_filled_at_large_n(self, tmp_path):
         out = tmp_path / "big.csv"
         assert run("solve1d", "--preset", "box", "--n", 500, "--output", out) == 0
         metadata, _, rows = read_csv_report(out)
-        assert metadata["pencil_determinant"].startswith("skipped")
+        assert "pencil_determinant" not in metadata
+        guard = float(metadata["singularity_guard_log10"])
+        assert len(rows) == 12
         for row in rows:
-            assert row[3] == "" and row[4] == ""
+            assert math.isfinite(float(row[3]))
+            assert float(row[4]) < guard
+
+    def test_one_banded_factorization_per_level(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(diagonal, offdiagonal):
+            calls.append(len(diagonal))
+            return logabsdet_tridiagonal(diagonal, offdiagonal)
+
+        def dense(matrix):
+            raise AssertionError("the staggered pencil must not be factored densely")
+
+        monkeypatch.setattr(quantize, "logabsdet_tridiagonal", counting)
+        monkeypatch.setattr(quantize, "logabsdet_lu", dense)
+        out = tmp_path / "levels.csv"
+        config = write_config(tmp_path, {"potential": "harmonic", "n": 90, "count": 7})
+        assert run("solve1d", "--config", config, "--output", out) == 0
+        assert calls == [2 * 90 + 1] * 7
+
+    def test_oversized_grid_rejected_before_allocation(self, capsys):
+        # The documented bound: n up to 4729 fits the limit.
+        largest = 4729
+        assert solve1d_bytes(largest) <= SOLVE1D_MAX_BYTES < solve1d_bytes(largest + 1)
+        tracemalloc.start()
+        try:
+            for n in (largest + 1, 10**7):
+                assert run("solve1d", "--n", n) == 2
+                assert f"n = {n} needs about" in capsys.readouterr().err
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_potential_table_matches_preset(self, tmp_path):
         n = 40

@@ -13,6 +13,7 @@ from hamfactor.linalg import (
     hermitian_eigen,
     kron,
     logabsdet_lu,
+    logabsdet_tridiagonal,
     null_space,
     schur_factor_check,
 )
@@ -93,6 +94,56 @@ class TestLogAbsDet:
         log_abs, phase = logabsdet_lu(np.zeros((3, 3)))
         assert math.isinf(log_abs) and log_abs < 0
         assert phase == 0
+
+
+def tridiagonal(diagonal, offdiagonal) -> np.ndarray:
+    return np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
+
+
+class TestLogAbsDetTridiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 33, 200])
+    def test_matches_dense_lu(self, rng, n):
+        diagonal = rng.normal(size=n)
+        offdiagonal = rng.normal(size=n - 1)
+        log_abs, sign = logabsdet_tridiagonal(diagonal, offdiagonal)
+        dense_log, phase = logabsdet_lu(tridiagonal(diagonal, offdiagonal))
+        assert log_abs == pytest.approx(dense_log, rel=1e-12, abs=1e-12)
+        assert sign == pytest.approx(phase, abs=1e-12)
+
+    def test_zero_leading_pivot_forces_row_swap(self):
+        # Without the swap the zero pivot would read as a singular matrix.
+        log_abs, sign = logabsdet_tridiagonal([0.0, 3.0], [2.0])
+        assert log_abs == pytest.approx(math.log(4.0), rel=1e-15)
+        assert sign == -1.0
+
+    def test_zero_pivot_mid_elimination_forces_row_swap(self):
+        diagonal, offdiagonal = [1.0, 1.0, 2.0], [1.0, 5.0]
+        log_abs, sign = logabsdet_tridiagonal(diagonal, offdiagonal)
+        assert det_cofactor(tridiagonal(diagonal, offdiagonal)) == pytest.approx(-25.0)
+        assert log_abs == pytest.approx(math.log(25.0), rel=1e-15)
+        assert sign == -1.0
+
+    @pytest.mark.parametrize(
+        "diagonal, offdiagonal",
+        [([1.0, 1.0], [1.0]), ([0.0, 0.0, 0.0], [0.0, 0.0]), ([2.0, 0.0, 7.0], [0.0, 0.0])],
+    )
+    def test_singular_returns_minus_inf(self, diagonal, offdiagonal):
+        assert logabsdet_tridiagonal(diagonal, offdiagonal) == (-math.inf, 0.0)
+
+    def test_handles_magnitudes_beyond_float_range(self):
+        log_abs, sign = logabsdet_tridiagonal(np.full(500, -10.0), np.full(499, 1e-3))
+        dense_log, _ = logabsdet_lu(tridiagonal(np.full(500, -10.0), np.full(499, 1e-3)))
+        assert log_abs == pytest.approx(dense_log, rel=1e-12)
+        assert log_abs > 1000.0 and sign == 1.0
+
+    def test_empty_matrix(self):
+        assert logabsdet_tridiagonal([], []) == (0.0, 1.0)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="off-diagonal"):
+            logabsdet_tridiagonal([1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            logabsdet_tridiagonal([1.0, math.nan], [1.0])
 
 
 class TestKron:

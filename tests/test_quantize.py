@@ -30,7 +30,9 @@ from hamfactor import (
     pauli,
     pencil_root_distance,
     random_spinor,
+    root_distance,
 )
+from hamfactor.linalg import logabsdet_lu, logabsdet_tridiagonal
 
 
 def box_pencil(n, mass=1.0, hbar=1.0):
@@ -164,6 +166,89 @@ class TestPencil1D:
     def test_nonfinite_data_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             Pencil1D(np.ones((5, 4)), [1.0, math.nan, 0.0, 2.0])
+
+
+def interleaved(g, n):
+    """G with rows and columns ordered psi2_0, psi1_0, psi2_1, psi1_1, ..., psi2_n."""
+    order = [n + k // 2 if k % 2 == 0 else k // 2 for k in range(2 * n + 1)]
+    return g[np.ix_(order, order)]
+
+
+def sample_pencil(kind, n, rng):
+    if kind == "box":
+        return box_pencil(n)
+    if kind == "harmonic":
+        return harmonic_pencil(n)[0]
+    return coupled_pencil(Grid1D(-1.0, 2.0, n), rng.normal(scale=50.0, size=n), 0.8, hbar=1.3)
+
+
+class TestBandedPencil:
+    @pytest.mark.parametrize("kind", ["box", "harmonic", "table"])
+    @pytest.mark.parametrize("n", [3, 4, 33, 200])
+    def test_determinant_matches_dense_lu_on_permuted_pencil(self, rng, kind, n):
+        pencil = sample_pencil(kind, n, rng)
+        assert pencil.bands is not None
+        spectrum = np.linalg.eigvalsh(eliminate_pencil(pencil))
+        # Mid-gaps only: the symmetric well's top levels come in exactly
+        # degenerate pairs, whose midpoint is itself a root.
+        gaps = np.flatnonzero(np.diff(spectrum) > 1e-6 * np.abs(spectrum).max())
+        for k in gaps[[0, len(gaps) // 2, -1]]:
+            energy = 0.5 * (spectrum[k] + spectrum[k + 1])
+            g = pencil.matrix(energy)
+            t = interleaved(g, n)
+            # Exactly tridiagonal in this order, with diagonal 1, E - V_0, 1, ...
+            assert np.array_equal(t, np.triu(np.tril(t, 1), -1))
+            assert np.array_equal(np.diag(t)[0::2], np.ones(n + 1))
+            assert np.array_equal(np.diag(t)[1::2], energy - pencil.potential)
+            log_abs, sign = logabsdet_tridiagonal(np.diag(t).real, np.abs(np.diag(t, 1)))
+            dense_log, phase = logabsdet_lu(g)
+            assert abs(log_abs - dense_log) <= 1e-9 * max(1.0, abs(dense_log))
+            assert sign == pytest.approx(phase, abs=1e-9)
+            assert pencil.log_abs_det(energy) == log_abs
+
+    @pytest.mark.parametrize("kind", ["box", "harmonic", "table"])
+    @pytest.mark.parametrize("n", [3, 33, 112, 200])
+    def test_elimination_is_bit_equal_to_dense_product(self, rng, kind, n):
+        pencil = sample_pencil(kind, n, rng)
+        m = pencil.momentum
+        dense = m.conj().T @ m + np.diag(pencil.potential.astype(np.complex128))
+        assert np.array_equal(eliminate_pencil(pencil), dense)
+
+    def test_general_bidiagonal_momentum_uses_bands(self, rng):
+        n = 7
+        m = np.zeros((n + 1, n), dtype=np.complex128)
+        m[np.arange(n), np.arange(n)] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        m[np.arange(1, n + 1), np.arange(n)] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v = rng.normal(size=n)
+        pencil = Pencil1D(m, v)
+        assert np.array_equal(pencil.bands[0], np.diag(m))
+        assert np.array_equal(pencil.bands[1], np.diag(m, -1))
+        assert np.allclose(eliminate_pencil(pencil), m.conj().T @ m + np.diag(v), rtol=1e-14, atol=1e-14)
+        for energy in (-3.0, 0.4, 9.0):
+            dense_log, _ = logabsdet_lu(pencil.matrix(energy))
+            assert pencil.log_abs_det(energy) == pytest.approx(dense_log, rel=1e-12, abs=1e-12)
+
+    def test_other_momentum_matrices_have_no_bands(self):
+        staggered = momentum_matrix(Grid1D(0.0, 1.0, 6), 1.0)
+        extra = staggered.copy()
+        extra[0, 2] = 1e-300
+        assert Pencil1D(extra, np.zeros(6)).bands is None
+        assert Pencil1D(staggered[:6], np.zeros(6)).bands is None
+
+    def test_central_scheme_takes_dense_paths(self):
+        grid = Grid1D(0.0, 1.0, 12)
+        with pytest.warns(RuntimeWarning):
+            pencil = coupled_pencil(grid, 0.3 * grid.points, 1.0, scheme="central")
+        assert pencil.bands is None
+        m = pencil.momentum
+        reduced = eliminate_pencil(pencil)
+        assert np.array_equal(reduced, m.conj().T @ m + np.diag(pencil.potential.astype(np.complex128)))
+        spectrum = np.linalg.eigvalsh(reduced)
+        for energy in (float(spectrum[0]), 0.5 * float(spectrum[3] + spectrum[4])):
+            dense_log, _ = logabsdet_lu(pencil.matrix(energy))
+            assert pencil.log_abs_det(energy) == dense_log
+            expected = root_distance(dense_log, energy, spectrum)
+            assert pencil_root_distance(pencil, energy, spectrum) == expected
 
 
 class TestEliminate:
