@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .spin import spin_dot
+from .spin import MAX_SITES, spin_dot
 from .units import SPEED_OF_LIGHT
 
 DEFAULT_SHELL_TOL = 1e-9
-MAX_PARTICLES = 4
+MAX_PARTICLES = MAX_SITES
 REL_ERR_FLOOR = 1e-6
 
 
@@ -170,7 +170,7 @@ def kinetic_block(j: int, s: SystemSample) -> np.ndarray:
     return spin_dot(vec, j, s.n) / math.sqrt(2.0 * s.particles[j - 1].mass)
 
 
-def factor_matrix(s: SystemSample, max_particles: int = MAX_PARTICLES) -> np.ndarray:
+def factor_matrix(s: SystemSample) -> np.ndarray:
     """Bordered Hermitian factorization matrix of size 2^N (N+1).
 
     Layout: leading diagonal block (E - U) I, trailing diagonal identity
@@ -179,8 +179,8 @@ def factor_matrix(s: SystemSample, max_particles: int = MAX_PARTICLES) -> np.nda
     energy defect raised to the spinor dimension 2^N.
     """
     n = s.n
-    if n > max_particles:
-        raise ValueError(f"particle count {n} exceeds configured maximum {max_particles}")
+    if n > MAX_PARTICLES:
+        raise ValueError(f"particle count {n} exceeds configured maximum {MAX_PARTICLES}")
     d = 2**n
     size = d * (n + 1)
     g = np.zeros((size, size), dtype=np.complex128)

@@ -62,28 +62,41 @@ def kron(a, b, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _lu_pivots(m):
+    """Pivots of LU elimination with partial pivoting, in elimination order.
+
+    Yields ``(pivot, swapped)`` per column, where ``swapped`` says that a
+    row exchange brought the pivot up.  A zero pivot means the matrix is
+    exactly singular, and elimination stops there.
+    """
+    a = as_complex_matrix(m).copy()
+    n = _require_square(a)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if p != k:
+            a[[k, p], k:] = a[[p, k], k:]
+        pivot = a[k, k]
+        yield pivot, p != k
+        if pivot == 0:
+            return
+        if k + 1 < n:
+            mult = a[k + 1 :, k] / pivot
+            a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
+
+
 def det_lu(m) -> complex:
     """Determinant via LU elimination with partial pivoting.
 
     Row swaps are tracked explicitly so the permutation sign is exact;
     the result is that sign times the product of the pivots.
     """
-    a = as_complex_matrix(m).copy()
-    n = _require_square(a)
-    if n == 0:
-        return 1.0 + 0.0j
     det = 1.0 + 0.0j
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0:
+    for pivot, swapped in _lu_pivots(m):
+        if pivot == 0:
             return 0.0j
-        if p != k:
-            a[[k, p], k:] = a[[p, k], k:]
+        if swapped:
             det = -det
-        det *= a[k, k]
-        if k + 1 < n:
-            mult = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
+        det *= pivot
     return complex(det)
 
 
@@ -94,23 +107,15 @@ def logabsdet_lu(m) -> tuple[float, complex]:
     far outside floating-point range stay representable.  An exactly
     singular matrix returns ``(-inf, 0)``.
     """
-    a = as_complex_matrix(m).copy()
-    n = _require_square(a)
     log_abs = 0.0
     phase = 1.0 + 0.0j
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0:
+    for pivot, swapped in _lu_pivots(m):
+        if pivot == 0:
             return -math.inf, 0.0j
-        if p != k:
-            a[[k, p], k:] = a[[p, k], k:]
+        if swapped:
             phase = -phase
-        pivot = a[k, k]
         log_abs += math.log(abs(pivot))
         phase *= pivot / abs(pivot)
-        if k + 1 < n:
-            mult = a[k + 1 :, k] / pivot
-            a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
     return log_abs, phase
 
 

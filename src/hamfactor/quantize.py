@@ -12,12 +12,11 @@ operator identities into finite coefficient comparisons.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import logabsdet_lu, logabsdet_tridiagonal
+from .linalg import logabsdet_tridiagonal
 from .polynomials import DEFAULT_MAX_DEGREE, Polynomial, PolySpinor, random_polynomial
 from .spin import embed_spin
 from .units import ATOMIC, Units
@@ -53,35 +52,9 @@ class Grid1D:
         return self.x_min + self.h * np.arange(1, self.n + 1)
 
 
-def momentum_matrix(grid: Grid1D, mass: float, hbar: float = 1.0, scheme: str = "staggered") -> np.ndarray:
-    """Discrete momentum operator scaled by 1/sqrt(2m).
-
-    The default staggered scheme differences the n interior values onto
-    the n+1 cell edges, with both boundary values pinned to zero, so the
-    (n+1) x n matrix D satisfies D^H D = (hbar^2/2m) times the exact
-    three-point Dirichlet Laplacian; a square one-sided difference would
-    corrupt one corner of that product.  The square central scheme is
-    available behind a flag, but it couples even and odd sites
-    separately, splitting the spectrum into two interleaved families; it
-    warns when selected.
-    """
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    h = grid.h
-    scale = hbar / math.sqrt(2.0 * mass)
-    if scheme == "staggered":
-        diff = (np.eye(grid.n + 1, grid.n, k=0) - np.eye(grid.n + 1, grid.n, k=-1)) / h
-    elif scheme == "central":
-        warnings.warn(
-            "central differences decouple even and odd grid sites; the spectrum "
-            "splits into two interleaved families",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        diff = (np.eye(grid.n, k=1) - np.eye(grid.n, k=-1)) / (2.0 * h)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'staggered' or 'central'")
-    return (-1j) * scale * diff.astype(np.complex128)
+def momentum_matrix(grid: Grid1D, mass: float, hbar: float = 1.0) -> np.ndarray:
+    """Dense (n + 1) x n staggered momentum of ``coupled_pencil``, scaled by 1/sqrt(2m)."""
+    return coupled_pencil(grid, np.zeros(grid.n), mass, hbar).momentum
 
 
 @dataclass(frozen=True)
@@ -89,33 +62,30 @@ class Pencil1D:
     """Energy-linear Hermitian pencil coupling a state to its momentum image.
 
     The leading n rows read (E - V) psi1 + M^H psi2 = 0 and the trailing
-    rows read M psi1 + psi2 = 0, with M the scaled momentum matrix, so
-    eliminating psi2 yields the second-order operator M^H M + diag(V).
-
-    When M is lower bidiagonal, (n + 1) x n as the staggered scheme
-    builds it, its diagonal and subdiagonal are kept in ``bands``; every
-    other momentum matrix leaves ``bands`` as None and takes the dense
-    routes.
+    n + 1 rows read M psi1 + psi2 = 0, with M the (n + 1) x n lower
+    bidiagonal momentum matrix, so eliminating psi2 yields the
+    second-order operator M^H M + diag(V).  M is stored as its two
+    bands: ``diagonal[k] = M[k, k]`` and ``subdiagonal[k] = M[k + 1, k]``.
     """
 
-    momentum: np.ndarray
+    diagonal: np.ndarray
+    subdiagonal: np.ndarray
     potential: np.ndarray
-    bands: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        momentum = np.asarray(self.momentum, dtype=np.complex128)
+        diagonal = np.asarray(self.diagonal, dtype=np.complex128)
+        subdiagonal = np.asarray(self.subdiagonal, dtype=np.complex128)
         potential = np.asarray(self.potential, dtype=float)
-        if momentum.ndim != 2 or potential.ndim != 1:
-            raise ValueError("momentum must be a matrix and potential a vector")
-        if momentum.shape[1] != potential.shape[0]:
+        if potential.ndim != 1 or not diagonal.shape == subdiagonal.shape == potential.shape:
             raise ValueError(
-                f"momentum columns {momentum.shape[1]} must match potential length {potential.shape[0]}"
+                f"momentum bands {diagonal.shape} and {subdiagonal.shape} "
+                f"must match potential shape {potential.shape}"
             )
-        if not (np.isfinite(momentum).all() and np.isfinite(potential).all()):
+        if not all(np.isfinite(part).all() for part in (diagonal, subdiagonal, potential)):
             raise ValueError("pencil data must be finite")
-        object.__setattr__(self, "momentum", momentum)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "subdiagonal", subdiagonal)
         object.__setattr__(self, "potential", potential)
-        object.__setattr__(self, "bands", _lower_bidiagonal_bands(momentum))
 
     @property
     def n(self) -> int:
@@ -123,80 +93,74 @@ class Pencil1D:
 
     @property
     def size(self) -> int:
-        return self.n + self.momentum.shape[0]
+        return 2 * self.n + 1
+
+    @property
+    def momentum(self) -> np.ndarray:
+        """The dense (n + 1) x n momentum M, assembled from its bands."""
+        n = self.n
+        columns = np.arange(n)
+        m = np.zeros((n + 1, n), dtype=np.complex128)
+        m[columns, columns] = self.diagonal
+        m[columns + 1, columns] = self.subdiagonal
+        return m
 
     def matrix(self, energy: float) -> np.ndarray:
         """Assembled Hermitian pencil at the given energy."""
         n = self.n
-        m = self.momentum.shape[0]
-        g = np.zeros((n + m, n + m), dtype=np.complex128)
+        momentum = self.momentum
+        g = np.zeros((self.size, self.size), dtype=np.complex128)
         g[:n, :n] = np.diag(energy - self.potential)
-        g[:n, n:] = self.momentum.conj().T
-        g[n:, :n] = self.momentum
-        g[n:, n:] = np.eye(m)
+        g[:n, n:] = momentum.conj().T
+        g[n:, :n] = momentum
+        g[n:, n:] = np.eye(n + 1)
         return g
 
     def log_abs_det(self, energy: float) -> float:
-        """log|det G(E)|, from one O(n) banded factorization when M is bidiagonal.
+        """log|det G(E)| from one O(n) banded factorization.
 
         Ordering rows and columns as psi2_0, psi1_0, psi2_1, psi1_1, ...,
         psi2_n makes G(E) tridiagonal with diagonal 1, E - V_0, 1, ..., 1
         and off-diagonal M_00, M_10, M_11, M_21, ...; a diagonal unitary
         similarity then turns the off-diagonal into its moduli.  Neither
-        step changes the determinant.  Other momentum matrices factor the
-        dense pencil.
+        step changes the determinant.
         """
-        if self.bands is None:
-            return logabsdet_lu(self.matrix(energy))[0]
-        diag_band, sub_band = self.bands
         diagonal = np.ones(self.size)
         diagonal[1::2] = energy - self.potential
         offdiagonal = np.empty(2 * self.n)
-        offdiagonal[0::2] = np.abs(diag_band)
-        offdiagonal[1::2] = np.abs(sub_band)
+        offdiagonal[0::2] = np.abs(self.diagonal)
+        offdiagonal[1::2] = np.abs(self.subdiagonal)
         return logabsdet_tridiagonal(diagonal, offdiagonal)[0]
 
 
-def _lower_bidiagonal_bands(momentum: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(M[k, k], M[k + 1, k]) for an (n + 1) x n lower-bidiagonal M, else None.
+def coupled_pencil(grid: Grid1D, potential, mass: float, hbar: float = 1.0) -> Pencil1D:
+    """First-order pencil for a scalar potential on the grid.
 
-    Read row-major with rows of length n + 1, M puts M[k, k] in column 0
-    and M[k + 1, k] in column n of row k; every other entry must vanish.
+    The momentum differences the n interior values onto the n + 1 cell
+    edges, with both boundary values pinned to zero: M = (-i hbar /
+    sqrt(2m)) D with D[k, k] = 1/h and D[k + 1, k] = -1/h, so M^H M is
+    (hbar^2/2m) times the exact three-point Dirichlet Laplacian.
     """
-    rows, n = momentum.shape
-    if rows != n + 1:
-        return None
-    folded = momentum.reshape(n, n + 1)
-    if folded[:, 1:n].any():
-        return None
-    return folded[:, 0].copy(), folded[:, n].copy()
-
-
-def coupled_pencil(
-    grid: Grid1D,
-    potential,
-    mass: float,
-    hbar: float = 1.0,
-    scheme: str = "staggered",
-) -> Pencil1D:
-    """Assemble the first-order pencil for a scalar potential on the grid."""
     v = np.asarray(potential, dtype=float)
     if v.shape != (grid.n,):
         raise ValueError(f"potential must have {grid.n} samples, got shape {v.shape}")
-    return Pencil1D(momentum_matrix(grid, mass, hbar, scheme), v)
+    if mass <= 0:
+        raise ValueError(f"mass must be positive, got {mass}")
+    step = 1.0 / grid.h
+    scale = (-1j) * (hbar / math.sqrt(2.0 * mass))
+    diagonal = scale * np.full(grid.n, step, dtype=np.complex128)
+    subdiagonal = scale * np.full(grid.n, -step, dtype=np.complex128)
+    return Pencil1D(diagonal, subdiagonal, v)
 
 
 def eliminate_pencil(pencil: Pencil1D) -> np.ndarray:
     """Exact Schur complement onto the state block: M^H M + diag(V).
 
-    With a bidiagonal M (diagonal a, subdiagonal b) the product is
-    tridiagonal, |a_j|^2 + |b_j|^2 on the diagonal and conj(b_j) a_(j+1)
-    above it, and is written straight into the one n x n result.
+    With diagonal a and subdiagonal b the product is tridiagonal,
+    |a_j|^2 + |b_j|^2 on the diagonal and conj(b_j) a_(j+1) above it,
+    and is written straight into the one n x n result.
     """
-    if pencil.bands is None:
-        m = pencil.momentum
-        return m.conj().T @ m + np.diag(pencil.potential.astype(np.complex128))
-    a, b = pencil.bands
+    a, b = pencil.diagonal, pencil.subdiagonal
     n = pencil.n
     out = np.zeros((n, n), dtype=np.complex128)
     flat = out.reshape(-1)
@@ -211,7 +175,10 @@ def auxiliary_component(pencil: Pencil1D, psi1) -> np.ndarray:
     psi1 = np.asarray(psi1, dtype=np.complex128)
     if psi1.shape != (pencil.n,):
         raise ValueError(f"state must have length {pencil.n}, got shape {psi1.shape}")
-    return -(pencil.momentum @ psi1)
+    psi2 = np.zeros(pencil.n + 1, dtype=np.complex128)
+    psi2[:-1] = pencil.diagonal * psi1
+    psi2[1:] += pencil.subdiagonal * psi1
+    return -psi2
 
 
 #: Eigenvalues within this relative band of the nearest one are treated as

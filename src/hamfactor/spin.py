@@ -40,13 +40,13 @@ def pauli(axis: int) -> np.ndarray:
     return _SIGMA[axis].copy()
 
 
-def embed_spin(axis: int, site: int, nsites: int, max_sites: int = MAX_SITES) -> np.ndarray:
+def embed_spin(axis: int, site: int, nsites: int) -> np.ndarray:
     """Single-site Pauli operator on the 2^nsites product space.
 
     Identity factors pad the slots left and right of ``site`` (1-based).
     """
-    if not 1 <= nsites <= max_sites:
-        raise ValueError(f"particle count must be in 1..{max_sites}, got {nsites}")
+    if not 1 <= nsites <= MAX_SITES:
+        raise ValueError(f"particle count must be in 1..{MAX_SITES}, got {nsites}")
     if not 1 <= site <= nsites:
         raise ValueError(f"site must be in 1..{nsites}, got {site}")
     left = np.eye(2 ** (site - 1), dtype=np.complex128)

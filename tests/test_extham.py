@@ -24,6 +24,7 @@ from hamfactor.extham import (
     random_sample_1d,
 )
 from hamfactor.linalg import det_lu
+from hamfactor.spin import MAX_SITES
 
 
 def on_shell_sample_1d(mass=1.7, momentum=0.9, potential=-0.4):
@@ -169,6 +170,9 @@ class TestFactorMatrix:
         s = random_sample(rng, MAX_PARTICLES + 1)
         with pytest.raises(ValueError, match="exceeds"):
             factor_matrix(s)
+
+    def test_particle_limit_is_the_spin_site_limit(self):
+        assert MAX_PARTICLES == MAX_SITES == 4
 
 
 class TestDeterminantIdentity:

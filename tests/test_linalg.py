@@ -95,6 +95,18 @@ class TestLogAbsDet:
         assert math.isinf(log_abs) and log_abs < 0
         assert phase == 0
 
+    def test_zero_pivot_after_row_swap(self):
+        # The first column forces a swap; the second column then has no pivot.
+        a = np.array([[0.0, 1.0, 2.0], [3.0, 1.0, 2.0], [0.0, 2.0, 4.0]])
+        assert det_lu(a) == 0
+        assert logabsdet_lu(a) == (-math.inf, 0)
+
+    def test_rejects_bad_input_like_det_lu(self):
+        for bad in (np.ones((2, 3)), [[1.0, math.nan], [0.0, 1.0]]):
+            for fn in (det_lu, logabsdet_lu):
+                with pytest.raises(ValueError):
+                    fn(bad)
+
 
 def tridiagonal(diagonal, offdiagonal) -> np.ndarray:
     return np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)

@@ -30,7 +30,6 @@ from hamfactor import (
     pauli,
     pencil_root_distance,
     random_spinor,
-    root_distance,
 )
 from hamfactor.linalg import logabsdet_lu, logabsdet_tridiagonal
 
@@ -115,18 +114,6 @@ class TestMomentumMatrix:
         light = momentum_matrix(grid, 2.0)
         assert np.allclose(light, 2.0 * heavy, rtol=1e-15)
 
-    def test_central_scheme_warns_and_is_square(self):
-        grid = Grid1D(0.0, 1.0, 6)
-        with pytest.warns(RuntimeWarning, match="interleaved"):
-            d = momentum_matrix(grid, 1.0, scheme="central")
-        assert d.shape == (6, 6)
-        assert np.allclose(d, d.conj().T)
-
-    def test_unknown_scheme_rejected(self):
-        grid = Grid1D(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="scheme"):
-            momentum_matrix(grid, 1.0, scheme="spectral")
-
     def test_nonpositive_mass_rejected(self):
         grid = Grid1D(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="mass"):
@@ -161,11 +148,17 @@ class TestPencil1D:
         with pytest.raises(ValueError, match="samples"):
             coupled_pencil(grid, [1.0, 2.0], 1.0)
         with pytest.raises(ValueError, match="match"):
-            Pencil1D(np.ones((5, 4)), np.ones(3))
+            Pencil1D(np.ones(4), np.ones(4), np.ones(3))
+        with pytest.raises(ValueError, match="match"):
+            Pencil1D(np.ones(4), np.ones(5), np.ones(4))
+        with pytest.raises(ValueError, match="match"):
+            Pencil1D(np.ones((4, 1)), np.ones(4), np.ones(4))
 
     def test_nonfinite_data_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            Pencil1D(np.ones((5, 4)), [1.0, math.nan, 0.0, 2.0])
+            Pencil1D(np.ones(4), np.ones(4), [1.0, math.nan, 0.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            Pencil1D(np.ones(4), [1.0, 1.0, complex(0.0, math.inf), 1.0], np.zeros(4))
 
 
 def interleaved(g, n):
@@ -187,7 +180,6 @@ class TestBandedPencil:
     @pytest.mark.parametrize("n", [3, 4, 33, 200])
     def test_determinant_matches_dense_lu_on_permuted_pencil(self, rng, kind, n):
         pencil = sample_pencil(kind, n, rng)
-        assert pencil.bands is not None
         spectrum = np.linalg.eigvalsh(eliminate_pencil(pencil))
         # Mid-gaps only: the symmetric well's top levels come in exactly
         # degenerate pairs, whose midpoint is itself a root.
@@ -216,39 +208,21 @@ class TestBandedPencil:
 
     def test_general_bidiagonal_momentum_uses_bands(self, rng):
         n = 7
-        m = np.zeros((n + 1, n), dtype=np.complex128)
-        m[np.arange(n), np.arange(n)] = rng.normal(size=n) + 1j * rng.normal(size=n)
-        m[np.arange(1, n + 1), np.arange(n)] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
         v = rng.normal(size=n)
-        pencil = Pencil1D(m, v)
-        assert np.array_equal(pencil.bands[0], np.diag(m))
-        assert np.array_equal(pencil.bands[1], np.diag(m, -1))
+        pencil = Pencil1D(a, b, v)
+        # The dense oracle, assembled here independently of the pencil.
+        m = np.zeros((n + 1, n), dtype=np.complex128)
+        m[:n] += np.diag(a)
+        m[1:] += np.diag(b)
+        assert np.array_equal(pencil.momentum, m)
         assert np.allclose(eliminate_pencil(pencil), m.conj().T @ m + np.diag(v), rtol=1e-14, atol=1e-14)
+        psi1 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.allclose(auxiliary_component(pencil, psi1), -(m @ psi1), rtol=1e-14, atol=1e-14)
         for energy in (-3.0, 0.4, 9.0):
             dense_log, _ = logabsdet_lu(pencil.matrix(energy))
             assert pencil.log_abs_det(energy) == pytest.approx(dense_log, rel=1e-12, abs=1e-12)
-
-    def test_other_momentum_matrices_have_no_bands(self):
-        staggered = momentum_matrix(Grid1D(0.0, 1.0, 6), 1.0)
-        extra = staggered.copy()
-        extra[0, 2] = 1e-300
-        assert Pencil1D(extra, np.zeros(6)).bands is None
-        assert Pencil1D(staggered[:6], np.zeros(6)).bands is None
-
-    def test_central_scheme_takes_dense_paths(self):
-        grid = Grid1D(0.0, 1.0, 12)
-        with pytest.warns(RuntimeWarning):
-            pencil = coupled_pencil(grid, 0.3 * grid.points, 1.0, scheme="central")
-        assert pencil.bands is None
-        m = pencil.momentum
-        reduced = eliminate_pencil(pencil)
-        assert np.array_equal(reduced, m.conj().T @ m + np.diag(pencil.potential.astype(np.complex128)))
-        spectrum = np.linalg.eigvalsh(reduced)
-        for energy in (float(spectrum[0]), 0.5 * float(spectrum[3] + spectrum[4])):
-            dense_log, _ = logabsdet_lu(pencil.matrix(energy))
-            assert pencil.log_abs_det(energy) == dense_log
-            expected = root_distance(dense_log, energy, spectrum)
-            assert pencil_root_distance(pencil, energy, spectrum) == expected
 
 
 class TestEliminate:
