@@ -59,6 +59,7 @@ from .linalg import (
     det_lu,
     hermitian_eigen,
     schur_factor_check,
+    worse,
 )
 from .quantize import (
     PENCIL_SINGULARITY_GUARD,
@@ -102,10 +103,11 @@ ZEEMAN_PRESETS: dict[str, float] = {
 
 SOLVE1D_PRESETS = ("box", "harmonic")
 
-#: Largest working set solve1d may need, in bytes (see ``solve1d_bytes``);
-#: a larger grid is a configuration error, reported before any allocation.
-#: 2 GiB admits n up to 4729.
-SOLVE1D_MAX_BYTES = 2 * 1024**3
+#: Largest working set a report may need, in bytes (see ``solve1d_bytes``
+#: and ``zeeman_bytes``); a larger request is a configuration error,
+#: reported before any allocation.  2 GiB admits solve1d n up to 4729 and
+#: zeeman n_max up to 146.
+MAX_WORKING_BYTES = 2 * 1024**3
 
 #: Grids below this interior point count are flagged "coarse" in metadata.
 COARSE_GRID_LIMIT = 50
@@ -232,16 +234,6 @@ def _units_line(units: Units) -> str:
 SuiteRunner = Callable[[np.random.Generator, int, Units], float]
 
 
-def _worse(worst: float, residual: float) -> float:
-    """The larger of the two; a NaN on either side wins and stays.
-
-    Every suite folds its residuals with this, starting from 0.0, so one
-    NaN residual makes the check's max_error NaN and the check fails
-    (plain ``max`` would silently drop it).
-    """
-    return residual if residual > worst or math.isnan(residual) else worst
-
-
 def _suite_factorization_1d(rng: np.random.Generator, trials: int, units: Units) -> float:
     # Off-shell samples keep the defect away from zero, so the relative
     # error measures the identity rather than cancellation noise; the
@@ -253,7 +245,7 @@ def _suite_factorization_1d(rng: np.random.Generator, trials: int, units: Units)
         if trial % 2 == 1:
             a = float(rng.uniform(0.3, 1.8))
             coeffs = (a, 1.0 / (2.0 * sample.mass * a))
-        worst = _worse(worst, determinant_report_1d(sample, coeffs).max_rel_err)
+        worst = worse(worst, determinant_report_1d(sample, coeffs).max_rel_err)
     return worst
 
 
@@ -264,7 +256,7 @@ def _suite_null_vector_1d(rng: np.random.Generator, trials: int, units: Units) -
         matrix = factor_matrix_1d(sample)
         vector = null_vector_1d(sample)
         scale = max(np.abs(matrix).max() * np.abs(vector).max(), 1.0)
-        worst = _worse(worst, float(np.abs(matrix @ vector).max()) / scale)
+        worst = worse(worst, float(np.abs(matrix @ vector).max()) / scale)
     return worst
 
 
@@ -273,7 +265,7 @@ def _suite_determinant_identity(rng: np.random.Generator, trials: int, units: Un
     for trial in range(trials):
         sample = random_sample(rng, trial % 3 + 1, light_speed=units.light_speed)
         report = determinant_report(sample)
-        worst = _worse(worst, report.max_rel_err)
+        worst = worse(worst, report.max_rel_err)
     return worst
 
 
@@ -292,7 +284,7 @@ def _suite_schur_determinant(rng: np.random.Generator, trials: int, units: Units
         except SingularBlockError:
             continue  # random matrices are almost never singular; skip if so
         direct = det_lu(matrix)
-        worst = _worse(worst, abs(via_schur - direct) / max(abs(direct), 1e-6))
+        worst = worse(worst, abs(via_schur - direct) / max(abs(direct), 1e-6))
     return worst
 
 
@@ -306,7 +298,7 @@ def _suite_schur_reconstruction(rng: np.random.Generator, trials: int, units: Un
             residual = schur_factor_check(matrix, split)
         except SingularBlockError:
             continue
-        worst = _worse(worst, residual / np.abs(matrix).max())
+        worst = worse(worst, residual / np.abs(matrix).max())
     return worst
 
 
@@ -318,7 +310,7 @@ def _suite_null_spinor_residual(rng: np.random.Generator, trials: int, units: Un
         scale = np.linalg.norm(matrix)
         for vector in null_basis(sample):
             residual = np.linalg.norm(matrix @ vector) / (scale * np.linalg.norm(vector))
-            worst = _worse(worst, float(residual))
+            worst = worse(worst, float(residual))
     return worst
 
 
@@ -330,9 +322,9 @@ def _suite_spin_square(rng: np.random.Generator, trials: int, units: Units) -> f
         for axis in (1, 2, 3):
             for site in range(1, nsites + 1):
                 matrix = embed_spin(axis, site, nsites)
-                worst = _worse(worst, float(np.abs(matrix @ matrix - identity).max()))
-                worst = _worse(worst, abs(np.trace(matrix)))
-                worst = _worse(worst, float(np.abs(matrix - matrix.conj().T).max()))
+                worst = worse(worst, float(np.abs(matrix @ matrix - identity).max()))
+                worst = worse(worst, abs(np.trace(matrix)))
+                worst = worse(worst, float(np.abs(matrix - matrix.conj().T).max()))
     return worst
 
 
@@ -343,7 +335,7 @@ def _suite_spin_product(rng: np.random.Generator, trials: int, units: Units) -> 
         site = int(rng.integers(1, nsites + 1))
         alpha = rng.normal(size=3)
         beta = alpha if trial % 5 == 0 else rng.normal(size=3)
-        worst = _worse(worst, product_identity_residual(alpha, beta, site, nsites))
+        worst = worse(worst, product_identity_residual(alpha, beta, site, nsites))
     return worst
 
 
@@ -355,7 +347,7 @@ def _suite_kinetic_square(rng: np.random.Generator, trials: int, units: Units) -
         field = FieldConfig(tuple(rng.normal(size=3)))
         particle = ParticleSpec(float(rng.uniform(0.4, 2.5)), float(rng.uniform(-1.5, 1.5)))
         spinor = random_spinor(rng, 1, degree=3, max_terms=6)
-        worst = _worse(worst, kinetic_square_residual(field, particle, spinor, units=units))
+        worst = worse(worst, kinetic_square_residual(field, particle, spinor, units=units))
     return worst
 
 
@@ -455,10 +447,10 @@ def run_solve1d(args: argparse.Namespace) -> int:
     _reject_unknown_keys(config, allowed, "solve1d config")
     potential = args.preset if args.preset is not None else config.get("potential", "box")
     n = _require_int(args.n if args.n is not None else config.get("n", 200), "n", 3)
-    if solve1d_bytes(n) > SOLVE1D_MAX_BYTES:
+    if solve1d_bytes(n) > MAX_WORKING_BYTES:
         raise ConfigError(
             f"n = {n} needs about {solve1d_bytes(n):,} bytes, "
-            f"above the solve1d limit of {SOLVE1D_MAX_BYTES:,} bytes"
+            f"above the solve1d limit of {MAX_WORKING_BYTES:,} bytes"
         )
     default_span = (0.0, 1.0) if potential == "box" else (-12.0, 12.0)
     x_min = _require_real(config.get("x_min", default_span[0]), "x_min")
@@ -515,6 +507,17 @@ def run_solve1d(args: argparse.Namespace) -> int:
 # zeeman
 
 
+def zeeman_bytes(n_max: int) -> int:
+    """Upper estimate of zeeman's peak working set for levels up to n_max.
+
+    The table has n_max (n_max + 1) (2 n_max + 1) / 3 rows, and each row
+    is held as a ``LevelRow``, a tuple of rendered cells and its CSV text;
+    1 KiB per row bounds the peak (measured: 490-575 bytes per row of
+    traced allocations and 725 bytes per row of peak RSS at n_max 40-80).
+    """
+    return 1024 * n_max * (n_max + 1) * (2 * n_max + 1) // 3
+
+
 def run_zeeman(args: argparse.Namespace) -> int:
     config = _load_config(args.config) if args.config else {}
     allowed = ("preset", "m1", "m2", "b", "z", "n_max", "units")
@@ -534,6 +537,11 @@ def run_zeeman(args: argparse.Namespace) -> int:
     n_max = _require_int(
         args.n_max if args.n_max is not None else config.get("n_max", 3), "n_max", 1
     )
+    if zeeman_bytes(n_max) > MAX_WORKING_BYTES:
+        raise ConfigError(
+            f"n_max = {n_max} needs about {zeeman_bytes(n_max):,} bytes, "
+            f"above the zeeman limit of {MAX_WORKING_BYTES:,} bytes"
+        )
     units = _units_from_config(config.get("units"))
 
     try:
@@ -541,24 +549,11 @@ def run_zeeman(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     masses = decompose_masses(system)
-    omega = larmor_frequency(system)
-    g_factor = lamb_g_factor(system)
-
-    table_rows = []
-    for row in splitting_table(system, n_max):
-        table_rows.append(
-            (
-                row.n,
-                row.l,
-                row.m,
-                row.branch,
-                repr(row.energy),
-                repr(row.shift),
-                repr(omega),
-                repr(masses.larmor_mass),
-                repr(g_factor),
-            )
-        )
+    constants = (repr(larmor_frequency(system)), repr(masses.larmor_mass), repr(lamb_g_factor(system)))
+    table_rows = [
+        (row.n, row.l, row.m, row.branch, repr(row.energy), repr(row.shift), *constants)
+        for row in splitting_table(system, n_max)
+    ]
     metadata = {
         "tool": f"hamfactor {__version__}",
         "command": "zeeman",

@@ -66,7 +66,7 @@ class Sample1D:
             _require_finite(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSample:
     """Phase-space sample for N charged spin-1/2 particles.
 
@@ -229,7 +229,7 @@ def determinant_report(s: SystemSample) -> FactorizationReport:
     det_direct = linalg.det_lu(g)
     det_schur = linalg.block_det_schur(g, d)
     target = energy_defect(s) ** d
-    err = max(_rel_err(det_direct, target), _rel_err(det_schur, target))
+    err = linalg.worse(_rel_err(det_direct, target), _rel_err(det_schur, target))
     return FactorizationReport(det_direct, det_schur, target, d, err)
 
 
@@ -241,7 +241,7 @@ def determinant_report_1d(
     det_direct = linalg.det_lu(g)
     det_schur = linalg.block_det_schur(g, 1)
     target = energy_defect_1d(s)
-    err = max(_rel_err(det_direct, target), _rel_err(det_schur, target))
+    err = linalg.worse(_rel_err(det_direct, target), _rel_err(det_schur, target))
     return FactorizationReport(det_direct, det_schur, target, 1, err)
 
 

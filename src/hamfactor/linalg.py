@@ -6,7 +6,8 @@ explicit elimination so pivoting and rank decisions stay visible; the
 Hermitian eigensolver defers to LAPACK, which meets the residual
 contract with orders of magnitude to spare at these sizes.  Real
 symmetric tridiagonal determinants have their own O(n) banded
-elimination.
+elimination.  ``worse`` is the NaN-keeping maximum that every residual
+in the package folds with.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 
 import numpy as np
 
-DEFAULT_MAX_DIM = 4096
 CONDITION_LIMIT = 1e12
 NULL_SPACE_TOL = 1e-10
 
@@ -45,21 +45,14 @@ def _require_square(a: np.ndarray) -> int:
     return n
 
 
-def kron(a, b, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Kronecker product with a size guard.
+def worse(worst: float, residual: float) -> float:
+    """The larger of the two; a NaN on either side wins and stays.
 
-    The guard catches a misconfigured particle count before it allocates
-    an enormous matrix; it is not a numerical limit.
+    Every residual in the package folds with this, starting from 0.0, so
+    one NaN residual makes the maximum NaN and its check fails (plain
+    ``max`` keeps its first argument when the second is NaN).
     """
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > max_dim:
-        raise ValueError(
-            f"kron result would be {rows}x{cols}, above the configured limit {max_dim}"
-        )
-    return np.kron(a, b)
+    return residual if residual > worst or math.isnan(residual) else worst
 
 
 def _lu_pivots(m):

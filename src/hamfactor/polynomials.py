@@ -12,7 +12,11 @@ variable 3(k-1) + a is coordinate a (0=x, 1=y, 2=z) of particle k.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
+
+from .linalg import worse
 
 DEFAULT_MAX_DEGREE = 6
 
@@ -69,9 +73,8 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise ValueError("polynomials live over different variable counts")
         keys = self.coeffs.keys() | other.coeffs.keys()
-        return max(
-            (abs(self.coeffs.get(k, 0.0j) - other.coeffs.get(k, 0.0j)) for k in keys),
-            default=0.0,
+        return reduce(
+            worse, (abs(self.coeffs.get(k, 0.0j) - other.coeffs.get(k, 0.0j)) for k in keys), 0.0
         )
 
     def __eq__(self, other) -> bool:
@@ -249,8 +252,8 @@ class PolySpinor:
 
     def max_coeff_diff(self, other: "PolySpinor") -> float:
         self._check_compatible(other)
-        return max(
-            a.max_coeff_diff(b) for a, b in zip(self.components, other.components)
+        return reduce(
+            worse, (a.max_coeff_diff(b) for a, b in zip(self.components, other.components)), 0.0
         )
 
     def max_abs(self) -> float:

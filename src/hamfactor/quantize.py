@@ -57,7 +57,7 @@ def momentum_matrix(grid: Grid1D, mass: float, hbar: float = 1.0) -> np.ndarray:
     return coupled_pencil(grid, np.zeros(grid.n), mass, hbar).momentum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pencil1D:
     """Energy-linear Hermitian pencil coupling a state to its momentum image.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
+from .linalg import worse
 
 MAX_SITES = 4
 
@@ -51,7 +51,7 @@ def embed_spin(axis: int, site: int, nsites: int) -> np.ndarray:
         raise ValueError(f"site must be in 1..{nsites}, got {site}")
     left = np.eye(2 ** (site - 1), dtype=np.complex128)
     right = np.eye(2 ** (nsites - site), dtype=np.complex128)
-    return kron(kron(left, pauli(axis)), right)
+    return np.kron(np.kron(left, pauli(axis)), right)
 
 
 def spin_dot(v, site: int, nsites: int) -> np.ndarray:
@@ -125,6 +125,7 @@ def commutator_table(nsites: int) -> CommutatorReport:
     belongs to the spin-1/2 operators S = sigma/2, which absorb the 2.
     """
     dim = 2**nsites
+    sigma = {(a, j): embed_spin(a, j, nsites) for j in range(1, nsites + 1) for a in (1, 2, 3)}
     entries = []
     factors = set()
     max_residual = 0.0
@@ -132,20 +133,20 @@ def commutator_table(nsites: int) -> CommutatorReport:
         for k in range(1, nsites + 1):
             for a in (1, 2, 3):
                 for b in (1, 2, 3):
-                    left = embed_spin(a, j, nsites)
-                    right = embed_spin(b, k, nsites)
+                    left = sigma[a, j]
+                    right = sigma[b, k]
                     comm = left @ right - right @ left
                     target = None
                     coeff = 0.0 + 0.0j
                     if j == k and a != b:
                         target, sign = _EPSILON[(a, b)]
-                        basis = embed_spin(target, j, nsites)
+                        basis = sigma[target, j]
                         coeff = complex(np.trace(basis.conj().T @ comm) / dim)
                         residual = float(np.abs(comm - coeff * basis).max())
                         factors.add(complex(coeff / (1j * sign)))
                     else:
                         residual = float(np.abs(comm).max())
-                    max_residual = max(max_residual, residual)
+                    max_residual = worse(max_residual, residual)
                     entries.append(
                         CommutatorEntry(a, b, j, k, coeff, target, residual)
                     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import worse
 from .polynomials import Polynomial
 from .quantize import FieldConfig, Grid1D, coupled_pencil, eliminate_pencil
 from .units import ATOMIC, Units
@@ -106,39 +107,6 @@ def bohr_energy(n: int, mu: float, z: float, units: Units = ATOMIC) -> float:
 
 
 @dataclass(frozen=True)
-class LevelLabel:
-    """Quantum numbers (n, l, m) plus the branch index 1 or 2."""
-
-    n: int
-    l: int
-    m: int
-    branch: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.l < self.n:
-            raise ValueError(f"l must satisfy 0 <= l < n, got l={self.l}, n={self.n}")
-        if abs(self.m) > self.l:
-            raise ValueError(f"m must satisfy |m| <= l, got m={self.m}, l={self.l}")
-        if self.branch not in (1, 2):
-            raise ValueError(f"branch must be 1 or 2, got {self.branch}")
-
-
-def level_shift(system: ZeemanSystem, label: LevelLabel) -> float:
-    """Field shift hbar omega_L (m + 1) for branch 1, hbar omega_L (m - 1) for branch 2."""
-    step = label.m + 1 if label.branch == 1 else label.m - 1
-    # + 0.0 turns IEEE negative zero into plain zero when the frequency vanishes.
-    return system.units.hbar * larmor_frequency(system) * step + 0.0
-
-
-def zeeman_level(system: ZeemanSystem, label: LevelLabel) -> float:
-    """Unperturbed level plus its branch shift."""
-    mu = decompose_masses(system).reduced
-    return bohr_energy(label.n, mu, system.z, system.units) + level_shift(system, label)
-
-
-@dataclass(frozen=True)
 class LevelRow:
     n: int
     l: int
@@ -151,28 +119,26 @@ class LevelRow:
 def splitting_table(system: ZeemanSystem, n_max: int) -> list[LevelRow]:
     """All split levels up to principal quantum number ``n_max``.
 
-    Rows are ordered by (n, l, m, branch); each unperturbed level
-    contributes two rows, so there are n_max (n_max + 1) (2 n_max + 1) / 3
-    in total.
+    Each level is separable: the Bohr energy E_n plus the branch shift
+    hbar omega_L (m + 1) for branch 1 or hbar omega_L (m - 1) for branch
+    2, so the reduced mass and hbar omega_L are computed once per table
+    and E_n once per n.  Rows are ordered by (n, l, m, branch); each
+    unperturbed level contributes two rows, so there are
+    n_max (n_max + 1) (2 n_max + 1) / 3 in total.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    mu = decompose_masses(system).reduced
+    quantum = system.units.hbar * larmor_frequency(system)
     rows = []
     for n in range(1, n_max + 1):
+        bohr = bohr_energy(n, mu, system.z, system.units)
         for l in range(n):
             for m in range(-l, l + 1):
-                for branch in (1, 2):
-                    label = LevelLabel(n, l, m, branch)
-                    rows.append(
-                        LevelRow(
-                            n=n,
-                            l=l,
-                            m=m,
-                            branch=branch,
-                            energy=zeeman_level(system, label),
-                            shift=level_shift(system, label),
-                        )
-                    )
+                for branch, step in ((1, m + 1), (2, m - 1)):
+                    # + 0.0 turns IEEE negative zero into plain zero when the frequency vanishes.
+                    shift = quantum * step + 0.0
+                    rows.append(LevelRow(n, l, m, branch, energy=bohr + shift, shift=shift))
     return rows
 
 
@@ -254,7 +220,7 @@ def momentum_transform_residual(m1: float, m2: float, test: Polynomial, hbar: fl
             var = axis if particle == 1 else 3 + axis
             direct = test.diff(var) * factor
             combined = (rel.diff(axis) * sign + rel.diff(3 + axis) * weight) * factor
-            worst = max(worst, direct.max_coeff_diff(combined.substitute_linear(back)))
+            worst = worse(worst, direct.max_coeff_diff(combined.substitute_linear(back)))
     return worst
 
 
@@ -276,6 +242,4 @@ def potential_split_residual(m1: float, m2: float, b: float) -> float:
     direct2 = gauge @ sub2
     split1 = np.hstack([mu2 * gauge, gauge])
     split2 = np.hstack([-mu1 * gauge, gauge])
-    return float(
-        max(np.abs(direct1 - split1).max(), np.abs(direct2 - split2).max())
-    )
+    return float(worse(np.abs(direct1 - split1).max(), np.abs(direct2 - split2).max()))

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from hamfactor import cli, quantize
-from hamfactor.cli import DEFAULT_TOLERANCES, SOLVE1D_MAX_BYTES, main, solve1d_bytes
+from hamfactor.cli import DEFAULT_TOLERANCES, MAX_WORKING_BYTES, main, solve1d_bytes, zeeman_bytes
 from hamfactor.linalg import logabsdet_tridiagonal
 
 
@@ -259,7 +259,7 @@ class TestSolve1d:
     def test_oversized_grid_rejected_before_allocation(self, capsys):
         # The documented bound: n up to 4729 fits the limit.
         largest = 4729
-        assert solve1d_bytes(largest) <= SOLVE1D_MAX_BYTES < solve1d_bytes(largest + 1)
+        assert solve1d_bytes(largest) <= MAX_WORKING_BYTES < solve1d_bytes(largest + 1)
         tracemalloc.start()
         try:
             for n in (largest + 1, 10**7):
@@ -356,6 +356,20 @@ class TestZeeman:
         metadata, _, _ = read_csv_report(out)
         assert metadata["m2"] == "10.0"
         assert metadata["preset"] == "none"
+
+    def test_oversized_table_rejected_before_allocation(self, capsys):
+        # The documented bound: n_max up to 146 fits the shared limit.
+        largest = 146
+        assert zeeman_bytes(largest) <= MAX_WORKING_BYTES < zeeman_bytes(largest + 1)
+        tracemalloc.start()
+        try:
+            for n_max in (largest + 1, 10**6):
+                assert run("zeeman", "--n-max", n_max) == 2
+                assert f"n_max = {n_max} needs about" in capsys.readouterr().err
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_config_errors(self, tmp_path, capsys):
         assert run("zeeman", "--preset", "muonium") == 2

@@ -23,6 +23,7 @@ from hamfactor.extham import (
     random_sample,
     random_sample_1d,
 )
+from hamfactor import linalg
 from hamfactor.linalg import det_lu
 from hamfactor.spin import MAX_SITES
 
@@ -133,6 +134,13 @@ class TestSystemSample:
             s = random_sample(rng, n, on_shell=True)
             assert abs(energy_defect(s)) <= 1e-12
 
+    def test_equality_is_identity_and_hashable(self, rng):
+        # Array fields would make field-wise == raise and hash fail.
+        a, b = random_sample(rng, 2), random_sample(rng, 2)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, a, b}) == 2 and b in {b}
+
 
 class TestFactorMatrix:
     def test_dimensions_and_hermiticity(self, rng):
@@ -197,6 +205,13 @@ class TestDeterminantIdentity:
         g = factor_matrix(s)
         rebuilt = np.array([[g[i, j] for j in range(4)] for i in range(4)])
         assert det_lu(rebuilt) == pytest.approx(energy_defect(s) ** 2, rel=1e-10)
+
+    def test_nan_block_route_reaches_max_rel_err(self, rng, monkeypatch):
+        # The block route is the second of the two folded errors, the one
+        # plain max dropped when it was NaN.
+        monkeypatch.setattr(linalg, "block_det_schur", lambda m, k: complex(math.nan, 0.0))
+        assert math.isnan(determinant_report(random_sample(rng, 1)).max_rel_err)
+        assert math.isnan(determinant_report_1d(random_sample_1d(rng)).max_rel_err)
 
     def test_report_dict_round_trip(self, rng):
         data = determinant_report(random_sample(rng, 2)).to_dict()

@@ -11,11 +11,11 @@ from hamfactor.linalg import (
     block_det_schur,
     det_lu,
     hermitian_eigen,
-    kron,
     logabsdet_lu,
     logabsdet_tridiagonal,
     null_space,
     schur_factor_check,
+    worse,
 )
 
 
@@ -158,35 +158,15 @@ class TestLogAbsDetTridiagonal:
             logabsdet_tridiagonal([1.0, math.nan], [1.0])
 
 
-class TestKron:
-    def test_definition_entrywise(self, rng):
-        a = random_complex(rng, 2, 3)
-        b = random_complex(rng, 3, 2)
-        out = kron(a, b)
-        rb, cb = b.shape
-        for i in range(2):
-            for j in range(3):
-                for p in range(rb):
-                    for q in range(cb):
-                        expected = a[i, j] * b[p, q]
-                        assert out[i * rb + p, j * cb + q] == pytest.approx(expected, rel=1e-14, abs=1e-14)
+class TestWorse:
+    def test_larger_wins(self):
+        assert worse(0.0, 2.0) == 2.0
+        assert worse(3.0, 2.0) == 3.0
 
-    def test_mixed_product_rule(self, rng):
-        a, b, c, d = (random_complex(rng, 2) for _ in range(4))
-        left = kron(a, b) @ kron(c, d)
-        right = kron(a @ c, b @ d)
-        assert np.abs(left - right).max() <= 1e-13 * np.abs(right).max()
-
-    def test_identity_factor_blocks(self):
-        sigma = np.array([[0, 1], [1, 0]], dtype=complex)
-        out = kron(np.eye(2), sigma)
-        assert np.array_equal(out[:2, :2], sigma)
-        assert np.array_equal(out[2:, 2:], sigma)
-        assert np.abs(out[:2, 2:]).max() == 0
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError, match="above the configured limit"):
-            kron(np.eye(100), np.eye(100), max_dim=512)
+    def test_nan_wins_on_either_side_and_stays(self):
+        assert math.isnan(worse(1.0, math.nan))
+        assert math.isnan(worse(math.nan, 1.0))
+        assert math.isnan(worse(worse(0.0, math.nan), 5.0))
 
 
 class TestBlockDetSchur:

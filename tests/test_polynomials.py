@@ -1,5 +1,7 @@
 """Exact multivariate polynomial calculus over complex coefficients."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,28 @@ class TestPolySpinor:
         t = PolySpinor.constant(2, [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             s.max_coeff_diff(t)
+
+
+class TestMaxCoeffDiff:
+    # Plain max keeps its running value when the next gap is NaN, so a
+    # NaN gap after a finite one used to read as 0.0.
+    def test_nan_gap_kept_in_any_position(self):
+        coeffs = {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 3.0, (2, 3): 4.0}
+        p = Polynomial(2, coeffs)
+        for key in coeffs:
+            q = Polynomial(2, {**coeffs, key: math.nan})
+            assert math.isnan(p.max_coeff_diff(q))
+            assert math.isnan(q.max_coeff_diff(p))
+
+    def test_nan_component_kept_by_spinor(self):
+        s = PolySpinor.constant(1, [1.0, 1.0])
+        t = PolySpinor.constant(1, [1.0, math.nan])
+        assert math.isnan(s.max_coeff_diff(t))
+
+    def test_equal_polynomials_give_zero(self):
+        p = Polynomial(2, {(1, 0): 2.0, (0, 1): -1.0j})
+        assert p.max_coeff_diff(p) == 0.0
+        assert Polynomial(2).max_coeff_diff(Polynomial(2)) == 0.0
 
 
 class TestRandomPolynomial:

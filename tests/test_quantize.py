@@ -154,6 +154,13 @@ class TestPencil1D:
         with pytest.raises(ValueError, match="match"):
             Pencil1D(np.ones((4, 1)), np.ones(4), np.ones(4))
 
+    def test_equality_is_identity_and_hashable(self):
+        # Array fields would make field-wise == raise and hash fail.
+        a, b = box_pencil(5), box_pencil(5)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, a, b}) == 2 and b in {b}
+
     def test_nonfinite_data_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             Pencil1D(np.ones(4), np.ones(4), [1.0, math.nan, 0.0, 2.0])

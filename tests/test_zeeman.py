@@ -14,20 +14,19 @@ from hypothesis import strategies as st
 
 from hamfactor import (
     Grid1D,
-    LevelLabel,
     Polynomial,
+    Units,
     ZeemanSystem,
     bohr_energy,
     decompose_masses,
     lamb_g_factor,
     larmor_frequency,
-    level_shift,
     momentum_transform_residual,
     potential_split_residual,
     radial_eigenvalues,
     random_polynomial,
     splitting_table,
-    zeeman_level,
+    zeeman,
 )
 
 PROTON_ELECTRON_RATIO = 1836.15267
@@ -180,9 +179,18 @@ class TestBohrEnergy:
 
 
 class TestLevelLabel:
+    """The (n, l, m, branch) labels of the table obey the quantum-number rules."""
+
+    @staticmethod
+    def labels(n_max=4):
+        return {(r.n, r.l, r.m, r.branch) for r in splitting_table(hydrogen(), n_max)}
+
     def test_valid_labels(self):
-        LevelLabel(1, 0, 0, 1)
-        LevelLabel(3, 2, -2, 2)
+        labels = self.labels()
+        assert (1, 0, 0, 1) in labels
+        assert (3, 2, -2, 2) in labels
+        for n, l, m, branch in labels:
+            assert n >= 1 and 0 <= l < n and abs(m) <= l and branch in (1, 2)
 
     @pytest.mark.parametrize("args", [
         (0, 0, 0, 1),
@@ -193,38 +201,42 @@ class TestLevelLabel:
         (1, 0, 0, 0),
     ])
     def test_invalid_labels_rejected(self, args):
-        with pytest.raises(ValueError):
-            LevelLabel(*args)
+        assert args not in self.labels()
+
+
+def table_row(system, n, l, m, branch):
+    """The row of ``splitting_table`` labelled (n, l, m, branch)."""
+    for row in splitting_table(system, n):
+        if (row.n, row.l, row.m, row.branch) == (n, l, m, branch):
+            return row
+    raise LookupError((n, l, m, branch))
 
 
 class TestLevelShift:
     def test_branch_steps(self):
         system = hydrogen()
         omega = larmor_frequency(system)
-        assert level_shift(system, LevelLabel(2, 1, 1, 1)) == pytest.approx(2.0 * omega)
-        assert level_shift(system, LevelLabel(2, 1, 1, 2)) == 0.0
-        assert level_shift(system, LevelLabel(2, 1, -1, 1)) == 0.0
-        assert level_shift(system, LevelLabel(2, 1, -1, 2)) == pytest.approx(-2.0 * omega)
-        assert level_shift(system, LevelLabel(1, 0, 0, 1)) == pytest.approx(omega)
-        assert level_shift(system, LevelLabel(1, 0, 0, 2)) == pytest.approx(-omega)
+        assert table_row(system, 2, 1, 1, 1).shift == pytest.approx(2.0 * omega)
+        assert table_row(system, 2, 1, 1, 2).shift == 0.0
+        assert table_row(system, 2, 1, -1, 1).shift == 0.0
+        assert table_row(system, 2, 1, -1, 2).shift == pytest.approx(-2.0 * omega)
+        assert table_row(system, 1, 0, 0, 1).shift == pytest.approx(omega)
+        assert table_row(system, 1, 0, 0, 2).shift == pytest.approx(-omega)
 
     def test_equal_masses_shift_is_plain_zero(self):
-        system = positronium()
-        for branch in (1, 2):
-            shift = level_shift(system, LevelLabel(1, 0, 0, branch))
-            assert shift == 0.0
-            assert math.copysign(1.0, shift) == 1.0
+        for row in splitting_table(positronium(), 2):
+            assert row.shift == 0.0
+            assert math.copysign(1.0, row.shift) == 1.0
 
     def test_zero_field_no_shift(self):
         system = ZeemanSystem(m1=1.0, m2=2.0, b=0.0)
-        assert level_shift(system, LevelLabel(2, 1, 1, 1)) == 0.0
+        assert table_row(system, 2, 1, 1, 1).shift == 0.0
 
     def test_level_includes_shift(self):
         system = hydrogen()
-        label = LevelLabel(2, 1, 0, 1)
         mu = decompose_masses(system).reduced
-        expected = bohr_energy(2, mu, 1.0) + level_shift(system, label)
-        assert zeeman_level(system, label) == pytest.approx(expected, rel=1e-15)
+        for row in splitting_table(system, 3):
+            assert row.energy == bohr_energy(row.n, mu, 1.0) + row.shift
 
 
 class TestSplittingTable:
@@ -243,11 +255,31 @@ class TestSplittingTable:
         assert keys[1] == (1, 0, 0, 2)
 
     def test_rows_match_single_level_routines(self):
-        system = hydrogen()
-        for row in splitting_table(system, 2):
-            label = LevelLabel(row.n, row.l, row.m, row.branch)
-            assert row.shift == level_shift(system, label)
-            assert row.energy == zeeman_level(system, label)
+        # Each row against its own evaluation of E_n + hbar omega_L (m +- 1).
+        systems = (
+            hydrogen(),
+            positronium(2.5),
+            ZeemanSystem(m1=1.0, m2=7.5, b=1.0, z=2.0),
+            ZeemanSystem(m1=5.0, m2=1.0, b=-0.7, units=Units(hbar=2.5, charge=0.3, light_speed=10.0)),
+        )
+        for system in systems:
+            mu = decompose_masses(system).reduced
+            for row in splitting_table(system, 4):
+                step = row.m + 1 if row.branch == 1 else row.m - 1
+                shift = system.units.hbar * larmor_frequency(system) * step + 0.0
+                assert row.shift == shift
+                assert row.energy == bohr_energy(row.n, mu, system.z, system.units) + shift
+
+    def test_one_bohr_energy_per_level(self, monkeypatch):
+        calls = []
+
+        def counting(n, mu, z, units):
+            calls.append(n)
+            return bohr_energy(n, mu, z, units)
+
+        monkeypatch.setattr(zeeman, "bohr_energy", counting)
+        assert len(splitting_table(hydrogen(), 7)) == 7 * 8 * 15 // 3
+        assert calls == list(range(1, 8))
 
     def test_equal_masses_leave_degenerate_branches(self):
         rows = splitting_table(positronium(), 2)
@@ -309,6 +341,16 @@ class TestCenterOfMassIdentities:
     def test_momentum_split_arity_validated(self):
         with pytest.raises(ValueError, match="6"):
             momentum_transform_residual(1.0, 2.0, Polynomial(3, {(1, 0, 0): 1.0}))
+
+    def test_momentum_split_keeps_a_nan_gap(self):
+        # Only the z2 derivative sees the NaN coefficient; the fold starts
+        # at 0.0, where plain max dropped every NaN.
+        poly = Polynomial(6, {(1, 0, 0, 0, 0, 0): 1.0, (0, 0, 0, 0, 0, 1): math.nan})
+        assert math.isnan(momentum_transform_residual(1.0, 2.0, poly))
+
+    def test_potential_split_keeps_a_nan_gap(self):
+        # An infinite m1 makes mu1 NaN, which reaches only the second map.
+        assert math.isnan(potential_split_residual(math.inf, 1.0, 1.0))
 
     def test_potential_split_exact(self):
         assert potential_split_residual(1.0, PROTON_ELECTRON_RATIO, 1.0) <= 1e-15
