@@ -23,7 +23,8 @@ Four subcommands:
     as JSON.
 
 Exit codes: 0 on success, 1 when a check exceeds its tolerance (the
-report is still written), 2 for configuration errors.  Runs are
+report is still written), 2 for configuration errors, including values
+a model step rejects (no report is written).  Runs are
 deterministic: identical configuration and seed produce byte-identical
 output.  Each suite draws from its own stream split off the root seed,
 so suites can be reordered or skipped without disturbing the draws of
@@ -39,6 +40,7 @@ import json
 import math
 import sys
 from collections.abc import Callable, Iterable, Sequence
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -73,7 +75,7 @@ from .quantize import (
 )
 from .spin import MAX_SITES, commutator_table, embed_spin, product_identity_residual
 from .units import ATOMIC, Units
-from .zeeman import ZeemanSystem, decompose_masses, lamb_g_factor, larmor_frequency, splitting_table
+from .zeeman import ZeemanSystem, bohr_energy, decompose_masses, lamb_g_factor, larmor_frequency, splitting_table
 
 
 class ConfigError(ValueError):
@@ -141,6 +143,21 @@ def _reject_unknown_keys(mapping: dict, allowed: Iterable[str], context: str) ->
         raise ConfigError(f"unknown {context} key(s): {names}")
 
 
+def _settings(args: argparse.Namespace) -> dict:
+    """The ``--config`` file limited to ``args.keys``, overlaid by the flags given.
+
+    Each flag stores to the config key of the same name; a key set by
+    neither is left to the handler's default.
+    """
+    settings = _load_config(args.config) if args.config else {}
+    _reject_unknown_keys(settings, args.keys, f"{args.command} config")
+    for key in args.keys:
+        value = getattr(args, key, None)
+        if value is not None:
+            settings[key] = value
+    return settings
+
+
 def _require_int(value, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -162,12 +179,8 @@ def _units_from_config(block) -> Units:
         return ATOMIC
     if not isinstance(block, dict):
         raise ConfigError(f"'units' must be an object, got {block!r}")
-    _reject_unknown_keys(block, ("hbar", "charge", "electron_mass", "light_speed"), "units")
-    values = {key: _require_real(val, f"units.{key}") for key, val in block.items()}
-    try:
-        return Units(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _reject_unknown_keys(block, [field.name for field in fields(Units)], "units")
+    return Units(**{key: _require_real(val, f"units.{key}") for key, val in block.items()})
 
 
 def _tolerances_from_config(block) -> dict[str, float]:
@@ -183,15 +196,6 @@ def _tolerances_from_config(block) -> dict[str, float]:
             raise ConfigError(f"tolerances.{name} must be >= 0, got {tol}")
         merged[name] = tol
     return merged
-
-
-def _units_metadata(units: Units) -> dict[str, float]:
-    return {
-        "hbar": units.hbar,
-        "charge": units.charge,
-        "electron_mass": units.electron_mass,
-        "light_speed": units.light_speed,
-    }
 
 
 def _write_text(text: str, output: str | None) -> None:
@@ -220,8 +224,7 @@ def _csv_text(metadata: dict, header: Sequence[str], rows: Iterable[Sequence]) -
 
 
 def _units_line(units: Units) -> str:
-    pairs = _units_metadata(units)
-    return " ".join(f"{key}={value}" for key, value in sorted(pairs.items()))
+    return " ".join(f"{key}={value}" for key, value in sorted(asdict(units).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -273,33 +276,36 @@ def _random_square(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
 
 
-def _suite_schur_determinant(rng: np.random.Generator, trials: int, units: Units) -> float:
-    worst = 0.0
+def _schur_suite(rng: np.random.Generator, trials: int, residual: Callable[[np.ndarray, int], float]) -> float:
+    """Worst ``residual(matrix, split)`` over random block splits.
+
+    A draw whose block is singular is skipped (random matrices almost never
+    are); NaN when every draw was skipped, so a suite that measured nothing fails.
+    """
+    worst, ran = 0.0, 0
     for trial in range(trials):
         size = 4 + trial % 9
         matrix = _random_square(rng, size)
-        split = 1 + trial % (size - 1)
         try:
-            via_schur = block_det_schur(matrix, split)
+            value = residual(matrix, 1 + trial % (size - 1))
         except SingularBlockError:
-            continue  # random matrices are almost never singular; skip if so
+            continue
+        ran += 1
+        worst = worse(worst, value)
+    return worst if ran else math.nan
+
+
+def _suite_schur_determinant(rng: np.random.Generator, trials: int, units: Units) -> float:
+    def relative_gap(matrix: np.ndarray, split: int) -> float:
+        via_schur = block_det_schur(matrix, split)
         direct = det_lu(matrix)
-        worst = worse(worst, abs(via_schur - direct) / max(abs(direct), 1e-6))
-    return worst
+        return abs(via_schur - direct) / max(abs(direct), 1e-6)
+
+    return _schur_suite(rng, trials, relative_gap)
 
 
 def _suite_schur_reconstruction(rng: np.random.Generator, trials: int, units: Units) -> float:
-    worst = 0.0
-    for trial in range(trials):
-        size = 4 + trial % 9
-        matrix = _random_square(rng, size)
-        split = 1 + trial % (size - 1)
-        try:
-            residual = schur_factor_check(matrix, split)
-        except SingularBlockError:
-            continue
-        worst = worse(worst, residual / np.abs(matrix).max())
-    return worst
+    return _schur_suite(rng, trials, lambda matrix, split: schur_factor_check(matrix, split) / np.abs(matrix).max())
 
 
 def _suite_null_spinor_residual(rng: np.random.Generator, trials: int, units: Units) -> float:
@@ -365,14 +371,11 @@ VERIFY_SUITES: tuple[tuple[str, int, SuiteRunner], ...] = (
 
 
 def run_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config) if args.config else {}
-    _reject_unknown_keys(config, ("seed", "trials", "tolerances", "units"), "verify config")
-    seed = args.seed if args.seed is not None else config.get("seed", 42)
-    seed = _require_int(seed, "seed", 0)
-    trials = args.trials if args.trials is not None else config.get("trials", 100)
-    trials = _require_int(trials, "trials", 1)
-    tolerances = _tolerances_from_config(config.get("tolerances"))
-    units = _units_from_config(config.get("units"))
+    settings = _settings(args)
+    seed = _require_int(settings.get("seed", 42), "seed", 0)
+    trials = _require_int(settings.get("trials", 100), "trials", 1)
+    tolerances = _tolerances_from_config(settings.get("tolerances"))
+    units = _units_from_config(settings.get("units"))
 
     checks = []
     all_passed = True
@@ -401,7 +404,7 @@ def run_verify(args: argparse.Namespace) -> int:
             "command": "verify",
             "seed": seed,
             "trials": trials,
-            "units": _units_metadata(units),
+            "units": asdict(units),
         },
         "checks": checks,
         "passed": all_passed,
@@ -431,6 +434,15 @@ def _potential_samples(potential, grid: Grid1D) -> np.ndarray:
     return np.asarray(values)
 
 
+def _check_working_set(command: str, name: str, value: int, needed: int) -> None:
+    """Reject a size whose working-set estimate exceeds ``MAX_WORKING_BYTES``."""
+    if needed > MAX_WORKING_BYTES:
+        raise ConfigError(
+            f"{name} = {value} needs about {needed:,} bytes, "
+            f"above the {command} limit of {MAX_WORKING_BYTES:,} bytes"
+        )
+
+
 def solve1d_bytes(n: int) -> int:
     """Upper estimate of solve1d's peak working set for n interior points.
 
@@ -442,30 +454,21 @@ def solve1d_bytes(n: int) -> int:
 
 
 def run_solve1d(args: argparse.Namespace) -> int:
-    config = _load_config(args.config) if args.config else {}
-    allowed = ("potential", "n", "x_min", "x_max", "mass", "count", "units")
-    _reject_unknown_keys(config, allowed, "solve1d config")
-    potential = args.preset if args.preset is not None else config.get("potential", "box")
-    n = _require_int(args.n if args.n is not None else config.get("n", 200), "n", 3)
-    if solve1d_bytes(n) > MAX_WORKING_BYTES:
-        raise ConfigError(
-            f"n = {n} needs about {solve1d_bytes(n):,} bytes, "
-            f"above the solve1d limit of {MAX_WORKING_BYTES:,} bytes"
-        )
+    settings = _settings(args)
+    potential = settings.get("potential", "box")
+    n = _require_int(settings.get("n", 200), "n", 3)
+    _check_working_set("solve1d", "n", n, solve1d_bytes(n))
     default_span = (0.0, 1.0) if potential == "box" else (-12.0, 12.0)
-    x_min = _require_real(config.get("x_min", default_span[0]), "x_min")
-    x_max = _require_real(config.get("x_max", default_span[1]), "x_max")
-    mass = _require_real(config.get("mass", 1.0), "mass")
+    x_min = _require_real(settings.get("x_min", default_span[0]), "x_min")
+    x_max = _require_real(settings.get("x_max", default_span[1]), "x_max")
+    mass = _require_real(settings.get("mass", 1.0), "mass")
     if mass <= 0:
         raise ConfigError(f"mass must be positive, got {mass}")
-    count = _require_int(config.get("count", min(12, n)), "count", 1)
+    count = _require_int(settings.get("count", min(12, n)), "count", 1)
     count = min(count, n)
-    units = _units_from_config(config.get("units"))
+    units = _units_from_config(settings.get("units"))
 
-    try:
-        grid = Grid1D(x_min, x_max, n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = Grid1D(x_min, x_max, n)
     samples = _potential_samples(potential, grid)
     pencil = coupled_pencil(grid, samples, mass, hbar=units.hbar)
     hamiltonian = eliminate_pencil(pencil)
@@ -519,37 +522,31 @@ def zeeman_bytes(n_max: int) -> int:
 
 
 def run_zeeman(args: argparse.Namespace) -> int:
-    config = _load_config(args.config) if args.config else {}
-    allowed = ("preset", "m1", "m2", "b", "z", "n_max", "units")
-    _reject_unknown_keys(config, allowed, "zeeman config")
-    preset = args.preset if args.preset is not None else config.get("preset")
+    settings = _settings(args)
+    preset = settings.get("preset")
     if preset is not None and preset not in ZEEMAN_PRESETS:
         raise ConfigError(f"unknown zeeman preset {preset!r}; expected one of {', '.join(sorted(ZEEMAN_PRESETS))}")
-    if preset is not None and ("m1" in config or "m2" in config):
+    if preset is not None and ("m1" in settings or "m2" in settings):
         raise ConfigError("give either a preset or explicit masses m1/m2, not both")
     if preset is not None:
         m1, m2 = 1.0, ZEEMAN_PRESETS[preset]
     else:
-        m1 = _require_real(config.get("m1", 1.0), "m1")
-        m2 = _require_real(config.get("m2", ZEEMAN_PRESETS["hydrogen"]), "m2")
-    b = _require_real(args.b if args.b is not None else config.get("b", 1.0), "b")
-    z = _require_real(config.get("z", 1.0), "z")
-    n_max = _require_int(
-        args.n_max if args.n_max is not None else config.get("n_max", 3), "n_max", 1
-    )
-    if zeeman_bytes(n_max) > MAX_WORKING_BYTES:
-        raise ConfigError(
-            f"n_max = {n_max} needs about {zeeman_bytes(n_max):,} bytes, "
-            f"above the zeeman limit of {MAX_WORKING_BYTES:,} bytes"
-        )
-    units = _units_from_config(config.get("units"))
+        m1 = _require_real(settings.get("m1", 1.0), "m1")
+        m2 = _require_real(settings.get("m2", ZEEMAN_PRESETS["hydrogen"]), "m2")
+    b = _require_real(settings.get("b", 1.0), "b")
+    z = _require_real(settings.get("z", 1.0), "z")
+    n_max = _require_int(settings.get("n_max", 3), "n_max", 1)
+    _check_working_set("zeeman", "n_max", n_max, zeeman_bytes(n_max))
+    units = _units_from_config(settings.get("units"))
 
-    try:
-        system = ZeemanSystem(m1=m1, m2=m2, b=b, z=z, units=units)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    system = ZeemanSystem(m1=m1, m2=m2, b=b, z=z, units=units)
     masses = decompose_masses(system)
-    constants = (repr(larmor_frequency(system)), repr(masses.larmor_mass), repr(lamb_g_factor(system)))
+    omega = larmor_frequency(system)
+    # Bounds every |energy| and |shift| (|E_n| <= |E_1|, |m +- 1| <= n_max); finite only if omega_L is.
+    bound = abs(bohr_energy(1, masses.reduced, z, units)) + abs(units.hbar * omega) * n_max
+    if not math.isfinite(bound):
+        raise ConfigError(f"zeeman rows are not finite: omega_L = {omega!r}, |E_1| + |hbar omega_L| n_max = {bound!r}")
+    constants = (repr(omega), repr(masses.larmor_mass), repr(lamb_g_factor(system)))
     table_rows = [
         (row.n, row.l, row.m, row.branch, repr(row.energy), repr(row.shift), *constants)
         for row in splitting_table(system, n_max)
@@ -577,10 +574,8 @@ def run_zeeman(args: argparse.Namespace) -> int:
 
 
 def run_spin_report(args: argparse.Namespace) -> int:
-    config = _load_config(args.config) if args.config else {}
-    _reject_unknown_keys(config, ("particles",), "spin-report config")
-    particles = args.particles if args.particles is not None else config.get("particles", 2)
-    particles = _require_int(particles, "particles", 1)
+    settings = _settings(args)
+    particles = _require_int(settings.get("particles", 2), "particles", 1)
     if particles > MAX_SITES:
         raise ConfigError(f"particles must be <= {MAX_SITES}, got {particles}")
 
@@ -592,7 +587,7 @@ def run_spin_report(args: argparse.Namespace) -> int:
             "version": __version__,
             "command": "spin-report",
             "particles": particles,
-            "units": _units_metadata(ATOMIC),
+            "units": asdict(ATOMIC),
         },
         "commutators": table.to_dict(),
         "tolerance": DEFAULT_TOLERANCES["spin_square"],
@@ -619,14 +614,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, help="root seed for the suite generators (default 42)")
     verify.add_argument("--trials", type=int, help="trials per suite (default 100)")
     verify.add_argument("--output", help="write the JSON report here instead of stdout")
-    verify.set_defaults(handler=run_verify)
+    verify.set_defaults(handler=run_verify, keys=("seed", "trials", "tolerances", "units"))
 
     solve1d = commands.add_parser("solve1d", help="discretize a 1-D potential and report its spectrum")
     solve1d.add_argument("--config", help="JSON config file")
-    solve1d.add_argument("--preset", help="potential preset: box or harmonic")
+    solve1d.add_argument("--preset", dest="potential", metavar="PRESET", help="potential preset: box or harmonic")
     solve1d.add_argument("--n", type=int, help="number of interior grid points (default 200)")
     solve1d.add_argument("--output", help="write the CSV table here instead of stdout")
-    solve1d.set_defaults(handler=run_solve1d)
+    solve1d.set_defaults(handler=run_solve1d, keys=("potential", "n", "x_min", "x_max", "mass", "count", "units"))
 
     zeeman = commands.add_parser("zeeman", help="write the weak-field splitting table")
     zeeman.add_argument("--config", help="JSON config file")
@@ -634,27 +629,30 @@ def build_parser() -> argparse.ArgumentParser:
     zeeman.add_argument("--b", type=float, help="magnetic field strength (default 1.0)")
     zeeman.add_argument("--n-max", dest="n_max", type=int, help="largest principal quantum number (default 3)")
     zeeman.add_argument("--output", help="write the CSV table here instead of stdout")
-    zeeman.set_defaults(handler=run_zeeman)
+    zeeman.set_defaults(handler=run_zeeman, keys=("preset", "m1", "m2", "b", "z", "n_max", "units"))
 
     spin = commands.add_parser("spin-report", help="write the measured spin commutator table")
     spin.add_argument("--config", help="JSON config file")
     spin.add_argument("--particles", type=int, help="number of spin sites (default 2, max 4)")
     spin.add_argument("--output", help="write the JSON report here instead of stdout")
-    spin.set_defaults(handler=run_spin_report)
+    spin.set_defaults(handler=run_spin_report, keys=("particles",))
 
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage or version text.
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except ValueError as exc:
+        # ConfigError and every value a model constructor or step rejects.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,7 +67,7 @@ class Polynomial:
         return max((sum(e) for e in self.coeffs), default=-1)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return reduce(worse, (abs(c) for c in self.coeffs.values()), 0.0)
 
     def max_coeff_diff(self, other: "Polynomial") -> float:
         if self.nvars != other.nvars:
@@ -257,7 +257,7 @@ class PolySpinor:
         )
 
     def max_abs(self) -> float:
-        return max(c.max_abs() for c in self.components)
+        return reduce(worse, (c.max_abs() for c in self.components), 0.0)
 
     def __repr__(self):
         return f"PolySpinor(nparticles={self.nparticles}, max_degree={self.max_degree})"

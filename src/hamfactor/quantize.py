@@ -430,8 +430,6 @@ def hamiltonian_equivalence_residual(
     minus sum_k (q_k hbar / 2 m_k c) sigma_k . B_k.
     """
     n = spinor.nparticles
-    if n > 3:
-        raise ValueError(f"supported for up to 3 particles, got {n}")
     particles = tuple(particles)
     fields = tuple(fields)
     if len(particles) != n or len(fields) != n:

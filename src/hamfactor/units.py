@@ -9,7 +9,7 @@ instance so alternative conventions stay a one-line change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT = 137.035999
 
@@ -22,10 +22,10 @@ class Units:
     light_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        for name in ("hbar", "charge", "electron_mass", "light_speed"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise ValueError(f"{field.name} must be positive and finite, got {value}")
 
 
 ATOMIC = Units()

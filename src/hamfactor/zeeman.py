@@ -103,7 +103,10 @@ def bohr_energy(n: int, mu: float, z: float, units: Units = ATOMIC) -> float:
         raise ValueError(f"principal quantum number must be a positive integer, got {n}")
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"reduced mass must be positive and finite, got {mu}")
-    return -mu * z**2 * units.charge**4 / (2.0 * units.hbar**2 * n**2)
+    denominator = 2.0 * units.hbar**2 * n**2
+    if denominator == 0.0:
+        raise ValueError(f"2 hbar^2 n^2 underflows to 0 at hbar = {units.hbar!r}, n = {n}")
+    return -mu * z**2 * units.charge**4 / denominator
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 
 from hamfactor import cli, quantize
 from hamfactor.cli import DEFAULT_TOLERANCES, MAX_WORKING_BYTES, main, solve1d_bytes, zeeman_bytes
-from hamfactor.linalg import logabsdet_tridiagonal
+from hamfactor.linalg import SingularBlockError, logabsdet_tridiagonal
 
 
 def run(*args):
@@ -42,6 +42,14 @@ def read_csv_report(path):
             table_lines.append(line)
     rows = list(csv.reader(table_lines))
     return metadata, rows[0], rows[1:]
+
+
+def report_metadata(path):
+    """A report's metadata with every value as its text."""
+    if path.suffix == ".json":
+        metadata = json.loads(path.read_text(encoding="utf-8"))["metadata"]
+        return {key: str(value) for key, value in metadata.items()}
+    return read_csv_report(path)[0]
 
 
 class TestVerify:
@@ -87,6 +95,22 @@ class TestVerify:
         assert math.isnan(checks["factorization_1d"]["max_error"])
         assert all(check["passed"] for name, check in checks.items() if name != "factorization_1d")
 
+    def test_schur_suite_with_no_trial_run_fails(self, tmp_path, monkeypatch):
+        # Every draw skipped as singular: the suites measured nothing, so
+        # they must fail rather than report a maximum error of 0.
+        def singular(matrix, split):
+            raise SingularBlockError("forced")
+
+        monkeypatch.setattr(cli, "block_det_schur", singular)
+        monkeypatch.setattr(cli, "schur_factor_check", singular)
+        out = tmp_path / "skipped.json"
+        assert run("verify", "--trials", 5, "--output", out) == 1
+        checks = {check["name"]: check for check in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+        for name in ("schur_determinant", "schur_reconstruction"):
+            assert checks[name]["passed"] is False
+            assert math.isnan(checks[name]["max_error"])
+        assert all(check["passed"] for name, check in checks.items() if not name.startswith("schur_"))
+
     def test_reports_are_byte_identical(self, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -104,14 +128,6 @@ class TestVerify:
         errors_a = [c["max_error"] for c in a["checks"]]
         errors_b = [c["max_error"] for c in b["checks"]]
         assert errors_a != errors_b
-
-    def test_flags_override_config(self, tmp_path):
-        config = write_config(tmp_path, {"seed": 5, "trials": 2})
-        out = tmp_path / "report.json"
-        assert run("verify", "--config", config, "--seed", 9, "--output", out) == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["metadata"]["seed"] == 9
-        assert report["metadata"]["trials"] == 2
 
     def test_zero_tolerance_flags_every_check(self, tmp_path):
         tolerances = {name: 0.0 for name in DEFAULT_TOLERANCES}
@@ -403,6 +419,67 @@ class TestSpinReport:
 
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize(
+        "command, config, flag, value, key",
+        [
+            pytest.param("verify", {"seed": 5, "trials": 2}, "--seed", 9, "seed", id="verify-seed"),
+            pytest.param("verify", {"seed": 5, "trials": 2}, "--trials", 3, "trials", id="verify-trials"),
+            pytest.param(
+                "solve1d", {"potential": "box", "n": 20}, "--preset", "harmonic", "potential", id="solve1d-preset"
+            ),
+            pytest.param("solve1d", {"potential": "box", "n": 20}, "--n", 30, "n", id="solve1d-n"),
+            pytest.param(
+                "zeeman",
+                {"preset": "hydrogen", "b": 2.0, "n_max": 1},
+                "--preset",
+                "positronium",
+                "preset",
+                id="zeeman-preset",
+            ),
+            pytest.param("zeeman", {"preset": "hydrogen", "b": 2.0, "n_max": 1}, "--b", 0.5, "b", id="zeeman-b"),
+            pytest.param(
+                "zeeman", {"preset": "hydrogen", "b": 2.0, "n_max": 2}, "--n-max", 1, "n_max", id="zeeman-n-max"
+            ),
+            pytest.param("spin-report", {"particles": 3}, "--particles", 1, "particles", id="spin-report-particles"),
+        ],
+    )
+    def test_flags_override_config(self, tmp_path, command, config, flag, value, key):
+        # Each flag sets the config key of the same name and wins over the
+        # file; the file's other keys still apply.
+        path = write_config(tmp_path, config)
+        out = tmp_path / ("report.json" if command in ("verify", "spin-report") else "report.csv")
+        assert run(command, "--config", path, flag, value, "--output", out) in (0, 1)
+        metadata = report_metadata(out)
+        assert metadata[key] == str(value)
+        for other, setting in config.items():
+            if other != key:
+                assert metadata[other] == str(setting)
+
+    @pytest.mark.parametrize(
+        "command, config, fragment",
+        [
+            # Values the model rejects after the config checks passed.
+            ("zeeman", {"m1": 1e200, "m2": 1e200}, "reduced mass"),
+            ("solve1d", {"n": 10, "x_min": 0.0, "x_max": 1e-310}, "finite"),
+            ("solve1d", {"n": 10, "mass": 1e-320}, "finite"),
+            ("verify", {"units": {"light_speed": 1e-300}}, "finite"),
+            # Zeeman tables whose rows would not be finite.
+            ("zeeman", {"preset": "hydrogen", "b": 1e10, "units": {"light_speed": 1e-300}}, "omega_L = inf"),
+            ("zeeman", {"m1": 1e-320, "m2": 2.0, "b": 0.0}, "omega_L = nan"),
+            ("zeeman", {"preset": "hydrogen", "units": {"hbar": 1e-200}}, "underflows"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that the run rejects
+    def test_rejected_values_exit_2_without_report(self, tmp_path, capsys, command, config, fragment):
+        path = write_config(tmp_path, config)
+        out = tmp_path / "report.txt"
+        trials = ("--trials", 2) if command == "verify" else ()
+        assert run(command, "--config", path, *trials, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_subcommand(self, capsys):
         assert run() == 2
         capsys.readouterr()

@@ -213,6 +213,20 @@ class TestMaxCoeffDiff:
         assert Polynomial(2).max_coeff_diff(Polynomial(2)) == 0.0
 
 
+class TestMaxAbs:
+    # Tests use max_abs as a tolerance scale; a NaN scale must not read as
+    # the largest finite coefficient.
+    def test_nan_coefficient_kept_in_any_position(self):
+        coeffs = {(0, 0): 1.0, (1, 0): -2.0, (0, 1): 3.0j}
+        assert Polynomial(2, coeffs).max_abs() == 3.0
+        for key in coeffs:
+            assert math.isnan(Polynomial(2, {**coeffs, key: math.nan}).max_abs())
+
+    def test_nan_component_kept_by_spinor(self):
+        assert PolySpinor.constant(1, [1.0, -2.0]).max_abs() == 2.0
+        assert math.isnan(PolySpinor.constant(1, [1.0, math.nan]).max_abs())
+
+
 class TestRandomPolynomial:
     def test_respects_bounds(self, rng):
         for _ in range(20):

@@ -1,6 +1,7 @@
 """Tests for the discrete pencil machinery and exact operator identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from hamfactor import (
     random_spinor,
 )
 from hamfactor.linalg import logabsdet_lu, logabsdet_tridiagonal
+from hamfactor.spin import MAX_SITES
 
 
 def box_pencil(n, mass=1.0, hbar=1.0):
@@ -508,11 +510,24 @@ class TestHamiltonianEquivalence:
         residual = hamiltonian_equivalence_residual(particles, fields, None, spinor)
         assert residual <= 1e-12
 
-    def test_particle_count_capped(self):
-        particles = [ParticleSpec(1.0, 1.0)] * 4
-        fields = [FieldConfig((0.0, 0.0, 1.0))] * 4
-        spinor = PolySpinor.constant(4, [0.0] * 16)
-        with pytest.raises(ValueError, match="3"):
+    def test_four_particles(self, rng):
+        particles = [
+            ParticleSpec(1.0, -1.0),
+            ParticleSpec(3.0, 1.0),
+            ParticleSpec(0.7, -0.5),
+            ParticleSpec(2.2, 0.8),
+        ]
+        fields = [FieldConfig(tuple(rng.normal(size=3))) for _ in range(4)]
+        spinor = random_spinor(rng, 4, degree=2, max_terms=4)
+        residual = hamiltonian_equivalence_residual(particles, fields, None, spinor)
+        assert residual <= 1e-12
+
+    def test_particle_count_capped_by_spin_sites(self):
+        # The one particle limit is the spin embedding's MAX_SITES.
+        particles = [ParticleSpec(1.0, 1.0)] * (MAX_SITES + 1)
+        fields = [FieldConfig((0.0, 0.0, 1.0))] * (MAX_SITES + 1)
+        spinor = PolySpinor.constant(MAX_SITES + 1, [0.0] * 2 ** (MAX_SITES + 1))
+        with pytest.raises(ValueError, match=re.escape(f"1..{MAX_SITES}, got {MAX_SITES + 1}")):
             hamiltonian_equivalence_residual(particles, fields, None, spinor)
 
     def test_length_mismatch_rejected(self):
