@@ -70,7 +70,6 @@ from .quantize import (
     coupled_pencil,
     eliminate_pencil,
     kinetic_square_residual,
-    random_spinor,
     root_distance,
 )
 from .spin import MAX_SITES, commutator_table, embed_spin, product_identity_residual
@@ -352,8 +351,7 @@ def _suite_kinetic_square(rng: np.random.Generator, trials: int, units: Units) -
     for _ in range(trials):
         field = FieldConfig(tuple(rng.normal(size=3)))
         particle = ParticleSpec(float(rng.uniform(0.4, 2.5)), float(rng.uniform(-1.5, 1.5)))
-        spinor = random_spinor(rng, 1, degree=3, max_terms=6)
-        worst = worse(worst, kinetic_square_residual(field, particle, spinor, units=units))
+        worst = worse(worst, kinetic_square_residual(field, particle, units=units))
     return worst
 
 

@@ -8,22 +8,24 @@ makes a 1e-12 pass threshold meaningful.
 
 Particle coordinates use three consecutive variables per particle:
 variable 3(k-1) + a is coordinate a (0=x, 1=y, 2=z) of particle k.
+
+A polynomial over 2m variables also stands for a normal-ordered
+differential operator, an element of the Weyl algebra: the exponents
+(alpha, beta) of the first m and the last m variables denote
+x^alpha d^beta, every coordinate to the left of every derivative.
+``weyl_product`` multiplies two such operators.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
+from itertools import product
+from operator import add
 
 import numpy as np
 
 from .linalg import worse
-
-DEFAULT_MAX_DEGREE = 6
-
-
-class DegreeOverflowError(ValueError):
-    """Polynomial degree grew past the configured cap."""
-
 
 class Polynomial:
     """Immutable-by-convention sparse polynomial over ``nvars`` variables."""
@@ -194,75 +196,6 @@ class Polynomial:
         return f"Polynomial(nvars={self.nvars}, terms={len(self.coeffs)}, degree={self.degree()})"
 
 
-class PolySpinor:
-    """Spinor with 2^N polynomial components over the 3N coordinates."""
-
-    __slots__ = ("nparticles", "components", "max_degree")
-
-    def __init__(self, nparticles: int, components, max_degree: int = DEFAULT_MAX_DEGREE):
-        self.nparticles = int(nparticles)
-        if self.nparticles < 1:
-            raise ValueError("need at least one particle")
-        components = tuple(components)
-        if len(components) != 2**self.nparticles:
-            raise ValueError(
-                f"expected {2**self.nparticles} components, got {len(components)}"
-            )
-        nvars = 3 * self.nparticles
-        for c in components:
-            if not isinstance(c, Polynomial) or c.nvars != nvars:
-                raise ValueError(f"components must be polynomials over {nvars} variables")
-        self.max_degree = int(max_degree)
-        worst = max(c.degree() for c in components)
-        if worst > self.max_degree:
-            raise DegreeOverflowError(
-                f"component degree {worst} exceeds the configured cap {self.max_degree}"
-            )
-        self.components = components
-
-    @classmethod
-    def constant(cls, nparticles: int, values, max_degree: int = DEFAULT_MAX_DEGREE) -> "PolySpinor":
-        nvars = 3 * nparticles
-        comps = [Polynomial.constant(nvars, v) for v in values]
-        return cls(nparticles, comps, max_degree)
-
-    def map(self, fn) -> "PolySpinor":
-        """Apply ``fn`` to every component, revalidating the degree cap."""
-        return PolySpinor(self.nparticles, [fn(c) for c in self.components], self.max_degree)
-
-    def __add__(self, other: "PolySpinor") -> "PolySpinor":
-        self._check_compatible(other)
-        comps = [a + b for a, b in zip(self.components, other.components)]
-        return PolySpinor(self.nparticles, comps, self.max_degree)
-
-    def __sub__(self, other: "PolySpinor") -> "PolySpinor":
-        self._check_compatible(other)
-        comps = [a - b for a, b in zip(self.components, other.components)]
-        return PolySpinor(self.nparticles, comps, self.max_degree)
-
-    def __mul__(self, scalar) -> "PolySpinor":
-        scalar = complex(scalar)
-        return self.map(lambda c: c * scalar)
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other: "PolySpinor"):
-        if not isinstance(other, PolySpinor) or other.nparticles != self.nparticles:
-            raise ValueError("spinors must share the particle count")
-
-    def max_coeff_diff(self, other: "PolySpinor") -> float:
-        self._check_compatible(other)
-        return reduce(
-            worse, (a.max_coeff_diff(b) for a, b in zip(self.components, other.components)), 0.0
-        )
-
-    def max_abs(self) -> float:
-        return reduce(worse, (c.max_abs() for c in self.components), 0.0)
-
-    def __repr__(self):
-        return f"PolySpinor(nparticles={self.nparticles}, max_degree={self.max_degree})"
-
-
 def random_polynomial(
     rng: np.random.Generator,
     nvars: int,
@@ -279,3 +212,38 @@ def random_polynomial(
         key = tuple(exps)
         data[key] = data.get(key, 0.0j) + complex(rng.normal(), rng.normal())
     return Polynomial(nvars, data)
+
+
+def weyl_product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Product a b of two normal-ordered operators over 2m variables.
+
+    Variables 0..m-1 are the coordinates x_i and m..2m-1 their
+    derivatives d_i.  Each derivative power of ``a`` is moved right past
+    the coordinate power of ``b`` on the same variable by the Leibniz rule
+    d^s x^t = sum_k C(s, k) t!/(t - k)! x^(t - k) d^(s - k); different
+    variables commute.  Coefficients are exact integer multiples of the
+    products of the operands' coefficients.
+    """
+    if a.nvars != b.nvars or a.nvars % 2:
+        raise ValueError(f"operators need one even variable count, got {a.nvars} and {b.nvars}")
+    m = a.nvars // 2
+    data: dict[tuple[int, ...], complex] = {}
+    for ea, ca in a.coeffs.items():
+        derivatives = [i for i in range(m) if ea[m + i]]
+        for eb, cb in b.coeffs.items():
+            base = tuple(map(add, ea, eb))
+            crossing = [i for i in derivatives if eb[i]]
+            if not crossing:  # nothing to move past: the plain product term
+                data[base] = data.get(base, 0.0j) + ca * cb
+                continue
+            for ks in product(*(range(min(ea[m + i], eb[i]) + 1) for i in crossing)):
+                exps, value = list(base), ca * cb
+                for i, k in zip(crossing, ks):
+                    exps[i] -= k
+                    exps[m + i] -= k
+                    value *= math.comb(ea[m + i], k) * math.perm(eb[i], k)
+                key = tuple(exps)
+                data[key] = data.get(key, 0.0j) + value
+    out = Polynomial(a.nvars)
+    out.coeffs = {k: v for k, v in data.items() if v != 0}
+    return out

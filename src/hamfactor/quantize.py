@@ -4,9 +4,11 @@ Two complementary tools.  The grid half discretizes the coupled
 first-order system for one particle on a line: an energy-linear
 Hermitian pencil whose auxiliary block can be eliminated exactly,
 recovering the standard three-point Schroedinger operator.  The
-polynomial half applies momentum and minimal-coupling operators to
-polynomial spinors with exact coefficient arithmetic, which turns
-operator identities into finite coefficient comparisons.
+operator half writes minimal-coupling operators as elements of the Weyl
+algebra, normal-ordered polynomials in the 3N coordinates and their 3N
+derivatives multiplied by ``weyl_product``, so an operator identity
+becomes a finite coefficient comparison that holds for every wave
+function at once.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import logabsdet_tridiagonal
-from .polynomials import DEFAULT_MAX_DEGREE, Polynomial, PolySpinor, random_polynomial
-from .spin import embed_spin
+from .linalg import logabsdet_tridiagonal, worse
+from .polynomials import Polynomial, weyl_product
+from .spin import embed_spin, spin_dot
 from .units import ATOMIC, Units
 
 #: An energy whose relative root distance (pencil_root_distance) falls
@@ -139,13 +141,21 @@ def coupled_pencil(grid: Grid1D, potential, mass: float, hbar: float = 1.0) -> P
     The momentum differences the n interior values onto the n + 1 cell
     edges, with both boundary values pinned to zero: M = (-i hbar /
     sqrt(2m)) D with D[k, k] = 1/h and D[k + 1, k] = -1/h, so M^H M is
-    (hbar^2/2m) times the exact three-point Dirichlet Laplacian.
+    (hbar^2/2m) times the exact three-point Dirichlet Laplacian.  Its
+    eigenvalues reach 4 hbar^2 / (2m h^2), which must be finite; a setting
+    that overflows it is rejected before any array is built.
     """
+    if mass <= 0:
+        raise ValueError(f"mass must be positive, got {mass}")
+    denominator = 2.0 * mass * grid.h * grid.h
+    if not (denominator > 0.0 and math.isfinite(4.0 * hbar * hbar / denominator)):
+        raise ValueError(
+            f"hbar^2 / (2 mass h^2) is not finite for mass = {mass!r}, hbar = {hbar!r} and the "
+            f"grid span [{grid.x_min!r}, {grid.x_max!r}] with n = {grid.n} (h = {grid.h!r})"
+        )
     v = np.asarray(potential, dtype=float)
     if v.shape != (grid.n,):
         raise ValueError(f"potential must have {grid.n} samples, got shape {v.shape}")
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
     step = 1.0 / grid.h
     scale = (-1j) * (hbar / math.sqrt(2.0 * mass))
     diagonal = scale * np.full(grid.n, step, dtype=np.complex128)
@@ -286,179 +296,129 @@ class FieldConfig:
         return Polynomial(nvars, data)
 
 
-def apply_matrix(spinor: PolySpinor, matrix) -> PolySpinor:
-    """Mix spinor components with a constant 2^N x 2^N matrix."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    dim = 2**spinor.nparticles
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"matrix must be {dim}x{dim}, got {matrix.shape}")
-    nvars = 3 * spinor.nparticles
-    comps = []
-    for i in range(dim):
-        total = Polynomial(nvars)
-        for j in range(dim):
-            value = matrix[i, j]
-            if value != 0:
-                total = total + spinor.components[j] * value
-        comps.append(total)
-    return PolySpinor(spinor.nparticles, comps, spinor.max_degree)
+def _particle_terms(field: FieldConfig, spec, particle: int, nparticles: int, units: Units, weight: float):
+    """Operands of one particle's Pauli identity over the 6N operator variables.
+
+    Returns (weight, [pi_0, pi_1, pi_2], [sigma_1, sigma_2, sigma_3], S)
+    with pi_a = (hbar/i) d_a - (q/c) A_a(x) and S = -(hbar q / c) sigma . B.
+    The coordinates are the first 3N of the 6N variables, the slots of
+    particles 1..N among 2N, so ``potential_polynomial`` over 2N particles
+    places A on them.
+    """
+    sigmas = [embed_spin(axis, particle, nparticles) for axis in (1, 2, 3)]
+    nvars = 6 * nparticles
+    coupling = spec.charge / units.light_speed
+    momenta = [
+        Polynomial.variable(nvars, 3 * (nparticles + particle - 1) + axis) * (units.hbar / 1j)
+        - field.potential_polynomial(axis, particle, 2 * nparticles) * coupling
+        for axis in range(3)
+    ]
+    spin = spin_dot(field.b, particle, nparticles) * (-units.hbar * coupling)
+    return weight, momenta, sigmas, spin
 
 
-def apply_scalar(spinor: PolySpinor, poly: Polynomial) -> PolySpinor:
-    """Multiply every component by a scalar polynomial."""
-    return spinor.map(lambda c: poly * c)
+def _pauli_sides(terms, potential: Polynomial | None, nparticles: int):
+    """Both sides of sum_k w_k (sigma_k . pi_k)^2 + U = sum_k w_k (pi_k^2 + S_k) + U.
+
+    Each side is a sparse {(i, j): operator} table over the 2^N spin
+    indices.  sigma_k . pi_k has one entry wherever an embedded Pauli
+    matrix does.
+    """
+    nvars = 6 * nparticles
+    lhs: dict[tuple[int, int], Polynomial] = {}
+    rhs: dict[tuple[int, int], Polynomial] = {}
+
+    def add(table, key, operator):
+        table[key] = table[key] + operator if key in table else operator
+
+    for weight, momenta, sigmas, spin in terms:
+        rows: list[dict[int, Polynomial]] = [{} for _ in range(2**nparticles)]
+        for pi, sigma in zip(momenta, sigmas):
+            for i, j in zip(*np.nonzero(sigma)):
+                add(rows[i], j, pi * sigma[i, j])
+        square = sum((weyl_product(pi, pi) for pi in momenta), Polynomial(nvars)) * weight
+        for i, row in enumerate(rows):
+            for middle, left in row.items():
+                for j, right in rows[middle].items():
+                    add(lhs, (i, j), weyl_product(left, right) * weight)
+            add(rhs, (i, i), square)
+        for i, j in zip(*np.nonzero(spin)):
+            add(rhs, (i, j), Polynomial.constant(nvars, spin[i, j] * weight))
+    if potential is not None:
+        for i in range(2**nparticles):
+            add(lhs, (i, i), potential)
+            add(rhs, (i, i), potential)
+    return lhs, rhs
 
 
-def apply_momentum(spinor: PolySpinor, particle: int, axis: int, hbar: float = 1.0) -> PolySpinor:
-    """(hbar/i) d/dx for one particle coordinate, applied componentwise."""
-    if not 1 <= particle <= spinor.nparticles:
-        raise ValueError(f"particle must be in 1..{spinor.nparticles}, got {particle}")
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    var = 3 * (particle - 1) + axis
-    factor = hbar / 1j
-    return spinor.map(lambda c: c.diff(var) * factor)
+def _magnitude(poly: Polynomial) -> Polynomial:
+    return Polynomial(poly.nvars, {exps: abs(value) for exps, value in poly.coeffs.items()})
 
 
-def covariant_momentum(
-    spinor: PolySpinor,
-    particle: int,
-    axis: int,
-    field: FieldConfig,
-    charge: float,
-    units: Units = ATOMIC,
-) -> PolySpinor:
-    """One component of p - (q/c) A applied to the spinor."""
-    momentum = apply_momentum(spinor, particle, axis, units.hbar)
-    gauge = field.potential_polynomial(axis, particle, spinor.nparticles)
-    if gauge.is_zero:
-        return momentum
-    coupling = charge / units.light_speed
-    return momentum - apply_scalar(spinor, gauge) * coupling
+def _pauli_residual(terms, potential: Polynomial | None, nparticles: int) -> float:
+    """Largest coefficient gap between the two sides of ``_pauli_sides``, relative to its terms.
 
-
-def sigma_covariant(
-    spinor: PolySpinor,
-    particle: int,
-    field: FieldConfig,
-    charge: float,
-    units: Units = ATOMIC,
-) -> PolySpinor:
-    """sigma_particle . (p - (q/c) A) applied to the spinor."""
-    total = None
-    for axis in range(3):
-        component = covariant_momentum(spinor, particle, axis, field, charge, units)
-        mixed = apply_matrix(component, embed_spin(axis + 1, particle, spinor.nparticles))
-        total = mixed if total is None else total + mixed
-    return total
-
-
-def _covariant_square(
-    spinor: PolySpinor,
-    particle: int,
-    field: FieldConfig,
-    charge: float,
-    units: Units,
-) -> PolySpinor:
-    """(p - (q/c) A) . (p - (q/c) A) applied componentwise (no spin mixing)."""
-    total = None
-    for axis in range(3):
-        once = covariant_momentum(spinor, particle, axis, field, charge, units)
-        twice = covariant_momentum(once, particle, axis, field, charge, units)
-        total = twice if total is None else total + twice
-    return total
-
-
-def spin_field_matrix(field: FieldConfig, particle: int, nparticles: int) -> np.ndarray:
-    """sigma_particle . B as a constant product-space matrix."""
-    dim = 2**nparticles
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for axis in range(3):
-        if field.b[axis] != 0:
-            out += field.b[axis] * embed_spin(axis + 1, particle, nparticles)
-    return out
-
-
-def total_spin_coupling_matrix(particles, fields, nparticles: int, units: Units = ATOMIC) -> np.ndarray:
-    """sum_k (q_k hbar / 2 m_k c) sigma_k . B_k as one matrix."""
-    particles = tuple(particles)
-    fields = tuple(fields)
-    if len(particles) != nparticles or len(fields) != nparticles:
-        raise ValueError("need one particle spec and one field per particle")
-    dim = 2**nparticles
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for k, (spec, field) in enumerate(zip(particles, fields), start=1):
-        coupling = spec.charge * units.hbar / (2.0 * spec.mass * units.light_speed)
-        out += coupling * spin_field_matrix(field, k, nparticles)
-    return out
+    Rerunning the same products on the moduli of every operand gives, per
+    coefficient, the sum of the moduli of the terms that produce it on
+    either side; each gap is divided by that sum, so the residual is a
+    relative rounding error in any unit system.
+    """
+    lhs, rhs = _pauli_sides(terms, potential, nparticles)
+    moduli = [
+        (weight, [_magnitude(pi) for pi in momenta], [np.abs(sigma) for sigma in sigmas], np.abs(spin))
+        for weight, momenta, sigmas, spin in terms
+    ]
+    lhs_size, rhs_size = _pauli_sides(
+        moduli, None if potential is None else _magnitude(potential), nparticles
+    )
+    zero = Polynomial(6 * nparticles)
+    worst = 0.0
+    for key in lhs_size.keys() | rhs_size.keys():
+        gap = lhs.get(key, zero) - rhs.get(key, zero)
+        scale = lhs_size.get(key, zero) + rhs_size.get(key, zero)
+        for exps, size in scale.coeffs.items():
+            worst = worse(worst, abs(gap.coeffs.get(exps, 0.0)) / size.real)
+    return worst
 
 
 def kinetic_square_residual(
     field: FieldConfig,
     particle_spec,
-    spinor: PolySpinor,
     particle: int = 1,
+    nparticles: int = 1,
     units: Units = ATOMIC,
 ) -> float:
-    """Residual of the minimal-coupling square identity at one site.
+    """Relative residual of (sigma . pi)^2 = pi^2 - (hbar q / c) sigma . B at one site.
 
-    Applies (sigma . (p - (q/c) A))^2 on one side and
-    (p - (q/c) A)^2 - (hbar q / c) sigma . B on the other, to the same
-    polynomial spinor, and returns the largest coefficient difference.
+    pi = p - (q/c) A for the given particle among ``nparticles``; both
+    sides are compared as operators, coefficient by coefficient.
     """
-    q = particle_spec.charge
-    once = sigma_covariant(spinor, particle, field, q, units)
-    lhs = sigma_covariant(once, particle, field, q, units)
-    quad = _covariant_square(spinor, particle, field, q, units)
-    coupling = units.hbar * q / units.light_speed
-    spin_term = apply_matrix(spinor, spin_field_matrix(field, particle, spinor.nparticles))
-    rhs = quad - spin_term * coupling
-    return lhs.max_coeff_diff(rhs)
+    terms = [_particle_terms(field, particle_spec, particle, nparticles, units, 1.0)]
+    return _pauli_residual(terms, None, nparticles)
 
 
 def hamiltonian_equivalence_residual(
     particles,
     fields,
     potential: Polynomial | None,
-    spinor: PolySpinor,
     units: Units = ATOMIC,
 ) -> float:
-    """Coefficient gap between the squared-block Hamiltonian and its expansion.
+    """Relative coefficient gap between the squared-block Hamiltonian and its expansion.
 
     Squared-block side: sum_k (sigma_k . (p_k - (q_k/c) A_k))^2 / 2 m_k + U.
     Expanded side: sum_k (p_k - (q_k/c) A_k)^2 / 2 m_k + U
     minus sum_k (q_k hbar / 2 m_k c) sigma_k . B_k.
+    ``potential`` is U over the 3N coordinates, a multiplication operator.
     """
-    n = spinor.nparticles
     particles = tuple(particles)
     fields = tuple(fields)
-    if len(particles) != n or len(fields) != n:
+    n = len(particles)
+    if len(fields) != n:
         raise ValueError("need one particle spec and one field per particle")
-
+    terms = [
+        _particle_terms(field, spec, k, n, units, 1.0 / (2.0 * spec.mass))
+        for k, (spec, field) in enumerate(zip(particles, fields), start=1)
+    ]
     if potential is not None:
-        lhs = apply_scalar(spinor, potential)
-        rhs = apply_scalar(spinor, potential)
-    else:
-        zero = PolySpinor.constant(n, [0.0] * 2**n, spinor.max_degree)
-        lhs, rhs = zero, zero
-
-    for k, (spec, field) in enumerate(zip(particles, fields), start=1):
-        weight = 1.0 / (2.0 * spec.mass)
-        once = sigma_covariant(spinor, k, field, spec.charge, units)
-        lhs = lhs + sigma_covariant(once, k, field, spec.charge, units) * weight
-        rhs = rhs + _covariant_square(spinor, k, field, spec.charge, units) * weight
-    rhs = rhs - apply_matrix(spinor, total_spin_coupling_matrix(particles, fields, n, units))
-    return lhs.max_coeff_diff(rhs)
-
-
-def random_spinor(
-    rng: np.random.Generator,
-    nparticles: int,
-    degree: int = 3,
-    max_terms: int = 8,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-) -> PolySpinor:
-    """Random polynomial spinor with components of total degree <= ``degree``."""
-    nvars = 3 * nparticles
-    comps = [random_polynomial(rng, nvars, degree, max_terms) for _ in range(2**nparticles)]
-    return PolySpinor(nparticles, comps, max_degree)
+        potential = potential.substitute_linear(np.eye(3 * n, 6 * n))
+    return _pauli_residual(terms, potential, n)

@@ -45,12 +45,11 @@ from hamfactor import (
     random_polynomial,
     random_sample,
     random_sample_1d,
-    random_spinor,
     schur_factor_check,
     splitting_table,
 )
 from hamfactor.cli import main as cli_main
-from hamfactor.linalg import det_lu
+from hamfactor.linalg import det_lu, worse
 
 
 def verdict(criterion: int, passed: bool, detail: str) -> bool:
@@ -227,31 +226,28 @@ def test_criterion_06_quantization_elimination():
 
 
 def test_criterion_07_pauli_operator_identities():
-    """Kinetic square identity and full Hamiltonian equivalence, exact calculus."""
+    """Kinetic square identity and full Hamiltonian equivalence, as operator identities."""
     rng = np.random.default_rng(107)
     start = time.monotonic()
     worst_kinetic = 0.0
     worst_full = 0.0
     for trial in range(50):
-        nparticles = 1 if trial % 2 == 0 else 2
-        degree = 2 + trial % 3  # degrees 2, 3, 4
-        max_terms = 6 if nparticles == 1 else 4
-        spinor = random_spinor(rng, nparticles, degree=degree, max_terms=max_terms)
+        # N = 1, 1, 2, 2, ...: both counts meet the potential on even trials.
+        nparticles = 1 + (trial // 2) % 2
         particles = [
             ParticleSpec(float(rng.uniform(0.4, 2.5)), float(rng.uniform(-1.5, 1.5)))
             for _ in range(nparticles)
         ]
         fields = [FieldConfig(tuple(rng.normal(size=3))) for _ in range(nparticles)]
-        worst_kinetic = max(
-            worst_kinetic, kinetic_square_residual(fields[0], particles[0], spinor)
-        )
+        for site in range(1, nparticles + 1):
+            worst_kinetic = worse(
+                worst_kinetic,
+                kinetic_square_residual(fields[site - 1], particles[site - 1], site, nparticles),
+            )
         potential = None
         if trial % 2 == 0:
             potential = random_polynomial(rng, 3 * nparticles, 2, 4)
-        worst_full = max(
-            worst_full,
-            hamiltonian_equivalence_residual(particles, fields, potential, spinor),
-        )
+        worst_full = worse(worst_full, hamiltonian_equivalence_residual(particles, fields, potential))
     elapsed = time.monotonic() - start
     ok = worst_kinetic <= 1e-12 and worst_full <= 1e-12 and elapsed <= 30.0
     assert verdict(

@@ -9,11 +9,13 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from hamfactor import cli, quantize
+from hamfactor import FieldConfig, ParticleSpec, Units, cli, quantize
 from hamfactor.cli import DEFAULT_TOLERANCES, MAX_WORKING_BYTES, main, solve1d_bytes, zeeman_bytes
 from hamfactor.linalg import SingularBlockError, logabsdet_tridiagonal
 
@@ -152,6 +154,39 @@ class TestVerify:
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["passed"] is True
+
+    def test_factorization_1d_passes_at_rounding_level_seed(self, tmp_path):
+        # This seed's worst 1-D draw nearly cancels E - V against p^2/2m;
+        # its gap, scaled by those two terms, sits at rounding level.
+        out = tmp_path / "report.json"
+        assert run("verify", "--seed", 1717579505, "--trials", 20, "--output", out) == 0
+        checks = {check["name"]: check for check in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+        assert checks["factorization_1d"]["max_error"] < 1e-15
+
+    def test_kinetic_square_in_any_units(self):
+        # Gaps are relative to the terms that produce them, so the check
+        # reads the same in every unit system, and still fails for a
+        # wrong sign of sigma . B.  The default-units value is exactly 0;
+        # "within 10x" is read against one unit roundoff there.
+        stream = {name: stream_id for name, stream_id, _ in cli.VERIFY_SUITES}["kinetic_square"]
+
+        def suite(units):
+            rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(stream,)))
+            return cli._suite_kinetic_square(rng, 20, units)
+
+        tolerance = DEFAULT_TOLERANCES["kinetic_square"]
+        base = suite(Units())
+        assert base < tolerance
+        electron = ParticleSpec(1.0, -1.0)
+        for hbar in (1e-10, 1.0, 1e10):
+            for light_speed in (1e-10, 1.0, 1e10):
+                units = Units(hbar=hbar, light_speed=light_speed)
+                value = suite(units)
+                assert value < tolerance
+                assert value <= 10 * max(base, np.finfo(float).eps)
+                field = FieldConfig((0.3, -1.1, 0.8))
+                object.__setattr__(field, "b", tuple(-x for x in field.b))
+                assert quantize.kinetic_square_residual(field, electron, units=units) > 100 * tolerance
 
 
 class TestVerifyConfigErrors:
@@ -467,18 +502,25 @@ class TestArgumentHandling:
             ("zeeman", {"preset": "hydrogen", "b": 1e10, "units": {"light_speed": 1e-300}}, "omega_L = inf"),
             ("zeeman", {"m1": 1e-320, "m2": 2.0, "b": 0.0}, "omega_L = nan"),
             ("zeeman", {"preset": "hydrogen", "units": {"hbar": 1e-200}}, "underflows"),
+            # A pencil whose kinetic scale overflows names the settings in it.
+            ("solve1d", {"n": 10, "mass": 1e-320}, "mass = 1e-320, hbar = 1.0"),
+            ("solve1d", {"n": 10, "x_min": 0, "x_max": 1e-310}, "grid span [0.0, 1e-310]"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that the run rejects
     def test_rejected_values_exit_2_without_report(self, tmp_path, capsys, command, config, fragment):
         path = write_config(tmp_path, config)
         out = tmp_path / "report.txt"
         trials = ("--trials", 2) if command == "verify" else ()
-        assert run(command, "--config", path, *trials, "--output", out) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(command, "--config", path, *trials, "--output", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and fragment in err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+        overflowed = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # Only verify still computes its way into the overflow it rejects.
+        assert not overflowed or command == "verify"
 
     def test_missing_subcommand(self, capsys):
         assert run() == 2

@@ -73,6 +73,25 @@ class TestFactorMatrix1D:
             assert report.exponent == 1
             assert report.max_rel_err <= 1e-13
 
+    def test_gap_scaled_by_the_cancelling_terms(self, monkeypatch):
+        # E - V = 1 and p^2/2m = 0.5: a gap in the direct 2x2 route is
+        # measured against their sum 1.5, not against the defect 0.5.
+        s = Sample1D(1.0, 1.0, 0.0, 1.0)
+        exact = linalg.det_lu
+        monkeypatch.setattr(linalg, "det_lu", lambda m: exact(m) + (3e-14 if np.shape(m) == (2, 2) else 0.0))
+        assert determinant_report_1d(s).max_rel_err == pytest.approx(2e-14, rel=1e-6)
+
+    @pytest.mark.parametrize("coeffs", [False, True])
+    def test_determinant_off_by_relative_1e_11_fails(self, rng, monkeypatch, coeffs):
+        exact = linalg.det_lu
+        monkeypatch.setattr(linalg, "det_lu", lambda m: exact(m) * (1.0 + 1e-11))
+        worst = 0.0
+        for _ in range(100):
+            s = random_sample_1d(rng)
+            pair = (0.7, 1.0 / (2.0 * s.mass * 0.7)) if coeffs else None
+            worst = linalg.worse(worst, determinant_report_1d(s, pair).max_rel_err)
+        assert worst > 50 * 1e-13
+
     def test_non_symmetric_coefficients(self, rng):
         for _ in range(50):
             s = random_sample_1d(rng)

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamfactor.polynomials import (
-    DEFAULT_MAX_DEGREE,
-    DegreeOverflowError,
-    Polynomial,
-    PolySpinor,
-    random_polynomial,
-)
+from hamfactor.polynomials import Polynomial, random_polynomial, weyl_product
 
 
 def poly_strategy(nvars=2, max_degree=3):
@@ -151,46 +145,6 @@ class TestSubstitution:
             Polynomial.variable(2, 0).substitute_linear(np.eye(3))
 
 
-class TestPolySpinor:
-    def test_component_count_enforced(self):
-        good = [Polynomial.constant(3, 1.0), Polynomial.constant(3, 2.0)]
-        PolySpinor(1, good)
-        with pytest.raises(ValueError, match="components"):
-            PolySpinor(1, good[:1])
-
-    def test_variable_arity_enforced(self):
-        with pytest.raises(ValueError, match="variables"):
-            PolySpinor(1, [Polynomial.constant(2, 1.0), Polynomial.constant(2, 1.0)])
-
-    def test_degree_cap(self):
-        x = Polynomial.variable(3, 0)
-        tall = x * x * x * x
-        with pytest.raises(DegreeOverflowError):
-            PolySpinor(1, [tall, tall], max_degree=3)
-
-    def test_default_degree_cap_value(self):
-        assert DEFAULT_MAX_DEGREE == 6
-
-    def test_constant_builder_and_arithmetic(self):
-        s = PolySpinor.constant(1, [1.0, 2.0])
-        t = PolySpinor.constant(1, [0.5, -1.0])
-        total = s + t * 2.0
-        assert total.components[0].coeffs == {(0, 0, 0): 2.0}
-        assert total.components[1].coeffs == {(0, 0, 0): 0.0j} or total.components[1].is_zero
-
-    def test_map_revalidates(self):
-        s = PolySpinor.constant(1, [1.0, 1.0], max_degree=2)
-        x = Polynomial.variable(3, 0)
-        with pytest.raises(DegreeOverflowError):
-            s.map(lambda p: p * x * x * x)
-
-    def test_max_coeff_diff_requires_same_width(self):
-        s = PolySpinor.constant(1, [1.0, 1.0])
-        t = PolySpinor.constant(2, [1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            s.max_coeff_diff(t)
-
-
 class TestMaxCoeffDiff:
     # Plain max keeps its running value when the next gap is NaN, so a
     # NaN gap after a finite one used to read as 0.0.
@@ -201,11 +155,6 @@ class TestMaxCoeffDiff:
             q = Polynomial(2, {**coeffs, key: math.nan})
             assert math.isnan(p.max_coeff_diff(q))
             assert math.isnan(q.max_coeff_diff(p))
-
-    def test_nan_component_kept_by_spinor(self):
-        s = PolySpinor.constant(1, [1.0, 1.0])
-        t = PolySpinor.constant(1, [1.0, math.nan])
-        assert math.isnan(s.max_coeff_diff(t))
 
     def test_equal_polynomials_give_zero(self):
         p = Polynomial(2, {(1, 0): 2.0, (0, 1): -1.0j})
@@ -222,10 +171,6 @@ class TestMaxAbs:
         for key in coeffs:
             assert math.isnan(Polynomial(2, {**coeffs, key: math.nan}).max_abs())
 
-    def test_nan_component_kept_by_spinor(self):
-        assert PolySpinor.constant(1, [1.0, -2.0]).max_abs() == 2.0
-        assert math.isnan(PolySpinor.constant(1, [1.0, math.nan]).max_abs())
-
 
 class TestRandomPolynomial:
     def test_respects_bounds(self, rng):
@@ -239,3 +184,63 @@ class TestRandomPolynomial:
         a = random_polynomial(np.random.default_rng(3), 2, 3)
         b = random_polynomial(np.random.default_rng(3), 2, 3)
         assert a == b
+
+
+def apply_operator(operator: Polynomial, f: Polynomial) -> Polynomial:
+    """Apply a normal-ordered operator over 2m variables to f over m, by diff and * alone."""
+    m = f.nvars
+    out = Polynomial(m)
+    for exps, value in operator.coeffs.items():
+        term = f
+        for i, order in enumerate(exps[m:]):
+            for _ in range(order):
+                term = term.diff(i)
+        out = out + Polynomial(m, {exps[:m]: value}) * term
+    return out
+
+
+class TestWeylProduct:
+    def test_product_acts_as_composition(self, rng):
+        # Independent oracle: (A B) f must equal A (B f) for every f.
+        for _ in range(40):
+            a = random_polynomial(rng, 6, 2, max_terms=5)
+            b = random_polynomial(rng, 6, 2, max_terms=5)
+            f = random_polynomial(rng, 3, 4, max_terms=8)
+            left = apply_operator(weyl_product(a, b), f)
+            right = apply_operator(a, apply_operator(b, f))
+            assert left.max_coeff_diff(right) <= 1e-13 * max(right.max_abs(), 1.0)
+
+    @pytest.mark.parametrize("a", range(4))
+    @pytest.mark.parametrize("b", range(4))
+    def test_derivative_past_coordinate_closed_form(self, a, b):
+        # d^b x^a = sum_k C(b, k) a!/(a - k)! x^(a - k) d^(b - k), exactly.
+        derivative = Polynomial(2, {(0, b): 1.0})
+        coordinate = Polynomial(2, {(a, 0): 1.0})
+        expected = Polynomial(
+            2, {(a - k, b - k): math.comb(b, k) * math.perm(a, k) for k in range(min(a, b) + 1)}
+        )
+        assert weyl_product(derivative, coordinate) == expected
+
+    def test_canonical_commutator(self):
+        # [d_i, x_j] = delta_ij over two coordinates.
+        for i in range(2):
+            for j in range(2):
+                d = Polynomial.variable(4, 2 + i)
+                x = Polynomial.variable(4, j)
+                commutator = weyl_product(d, x) - weyl_product(x, d)
+                assert commutator == Polynomial.constant(4, 1.0 if i == j else 0.0)
+
+    def test_normal_ordered_pairs_multiply_as_polynomials(self, rng):
+        # Coordinates on the left or derivatives on the right never cross.
+        for _ in range(10):
+            coords = random_polynomial(rng, 3, 3, max_terms=4).substitute_linear(np.eye(3, 6))
+            other = random_polynomial(rng, 6, 3, max_terms=4)
+            assert weyl_product(coords, other) == coords * other
+            derivs = random_polynomial(rng, 3, 3, max_terms=4).substitute_linear(np.eye(3, 6, 3))
+            assert weyl_product(other, derivs) == other * derivs
+
+    def test_rejects_odd_or_mismatched_variable_counts(self):
+        with pytest.raises(ValueError, match="even"):
+            weyl_product(Polynomial.variable(3, 0), Polynomial.variable(3, 0))
+        with pytest.raises(ValueError, match="even"):
+            weyl_product(Polynomial.variable(2, 0), Polynomial.variable(4, 0))

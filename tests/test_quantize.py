@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,25 +15,21 @@ from hamfactor import (
     ParticleSpec,
     Pencil1D,
     Polynomial,
-    PolySpinor,
     Units,
-    apply_matrix,
-    apply_momentum,
-    apply_scalar,
     auxiliary_component,
     coupled_pencil,
-    covariant_momentum,
     det_lu,
     eliminate_pencil,
     hamiltonian_equivalence_residual,
     hermitian_eigen,
     kinetic_square_residual,
     momentum_matrix,
-    pauli,
     pencil_root_distance,
-    random_spinor,
+    random_polynomial,
+    weyl_product,
 )
 from hamfactor.linalg import logabsdet_lu, logabsdet_tridiagonal
+from hamfactor.quantize import _particle_terms
 from hamfactor.spin import MAX_SITES
 
 
@@ -120,6 +117,22 @@ class TestMomentumMatrix:
         grid = Grid1D(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="mass"):
             momentum_matrix(grid, 0.0)
+
+    @pytest.mark.parametrize(
+        "span, mass, hbar",
+        [((0.0, 1.0), 1e-320, 1.0), ((0.0, 1e-310), 1.0, 1.0), ((0.0, 1.0), 1.0, 1e200)],
+    )
+    def test_overflowing_kinetic_scale_rejected_by_setting(self, span, mass, hbar):
+        # hbar^2 / (2 m h^2) overflows: the error names every setting in it,
+        # and nothing is computed that would warn first.
+        grid = Grid1D(*span, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite") as info:
+                coupled_pencil(grid, np.zeros(10), mass, hbar)
+        message = str(info.value)
+        for text in (f"mass = {mass!r}", f"hbar = {hbar!r}", f"[{span[0]!r}, {span[1]!r}]"):
+            assert text in message
 
 
 class TestPencil1D:
@@ -404,93 +417,94 @@ class TestFieldConfig:
             field.potential_polynomial(0, 2, 1)
 
 
+def momenta(field, charge=1.0, particle=1, nparticles=1, units=ATOMIC):
+    """The covariant momenta pi_0..pi_2 of one particle, as operators over 6N variables."""
+    return _particle_terms(field, ParticleSpec(1.0, charge), particle, nparticles, units, 1.0)[1]
+
+
 class TestOperatorApplication:
+    # Operators over 6N variables: the 3N coordinates, then their derivatives.
     def test_momentum_on_monomial(self):
-        # (hbar/i) d/dx applied to x^2 gives -2i hbar x.
-        square = Polynomial(3, {(2, 0, 0): 1.0})
-        spinor = PolySpinor(1, [square, Polynomial(3)])
-        out = apply_momentum(spinor, 1, 0, hbar=2.0)
-        expected = Polynomial(3, {(1, 0, 0): -4.0j})
-        assert out.components[0].max_coeff_diff(expected) == 0.0
-        assert out.components[1].is_zero
+        # p_x x^2 = x^2 p_x + (hbar/i) 2x with hbar = 2: p_x moves past x^2.
+        p_x = momenta(FieldConfig((0.0, 0.0, 0.0)), units=Units(hbar=2.0))[0]
+        square = Polynomial(6, {(2, 0, 0, 0, 0, 0): 1.0})
+        expected = Polynomial(6, {(2, 0, 0, 1, 0, 0): -2.0j, (1, 0, 0, 0, 0, 0): -4.0j})
+        assert weyl_product(p_x, square) == expected
 
     def test_momentum_targets_requested_coordinate(self):
-        # Particle 2, axis 1 addresses the fifth of six variables.
-        poly = Polynomial(6, {(0, 0, 0, 0, 3, 0): 1.0})
-        spinor = PolySpinor(2, [poly, Polynomial(6), Polynomial(6), Polynomial(6)])
-        out = apply_momentum(spinor, 2, 1)
-        expected = Polynomial(6, {(0, 0, 0, 0, 2, 0): -3.0j})
-        assert out.components[0].max_coeff_diff(expected) == 0.0
+        # Particle 2, axis 1 of two particles differentiates variable 6 + 3 + 1.
+        p_y = momenta(FieldConfig((0.0, 0.0, 0.0)), particle=2, nparticles=2)[1]
+        assert p_y == Polynomial.variable(12, 10) * -1.0j
 
     def test_momentum_validation(self):
-        spinor = PolySpinor.constant(1, [1.0, 0.0])
-        with pytest.raises(ValueError, match="particle"):
-            apply_momentum(spinor, 2, 0)
-        with pytest.raises(ValueError, match="axis"):
-            apply_momentum(spinor, 1, 5)
-
-    def test_apply_matrix_swaps_components(self):
-        top = Polynomial(3, {(1, 0, 0): 2.0})
-        bottom = Polynomial(3, {(0, 0, 1): -1.0})
-        spinor = PolySpinor(1, [top, bottom])
-        out = apply_matrix(spinor, pauli(1))
-        assert out.components[0].max_coeff_diff(bottom) == 0.0
-        assert out.components[1].max_coeff_diff(top) == 0.0
-
-    def test_apply_matrix_shape_validated(self):
-        spinor = PolySpinor.constant(1, [1.0, 0.0])
-        with pytest.raises(ValueError, match="2x2"):
-            apply_matrix(spinor, np.eye(4))
-
-    def test_apply_scalar_multiplies_components(self):
-        spinor = PolySpinor.constant(1, [1.0, -2.0])
-        poly = Polynomial(3, {(0, 1, 0): 3.0})
-        out = apply_scalar(spinor, poly)
-        assert out.components[0].coeffs == {(0, 1, 0): 3.0}
-        assert out.components[1].coeffs == {(0, 1, 0): -6.0}
+        field = FieldConfig((0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="site"):
+            kinetic_square_residual(field, ParticleSpec(1.0, 1.0), particle=2, nparticles=1)
+        with pytest.raises(ValueError, match="site"):
+            kinetic_square_residual(field, ParticleSpec(1.0, 1.0), particle=0, nparticles=1)
 
     def test_covariant_momentum_without_field(self):
-        field = FieldConfig((0.0, 0.0, 0.0))
-        poly = Polynomial(3, {(1, 1, 0): 1.0})
-        spinor = PolySpinor(1, [poly, Polynomial(3)])
-        plain = apply_momentum(spinor, 1, 0, ATOMIC.hbar)
-        gauged = covariant_momentum(spinor, 1, 0, field, charge=1.5)
-        for a, b in zip(gauged.components, plain.components):
-            assert a.max_coeff_diff(b) == 0.0
+        for axis, pi in enumerate(momenta(FieldConfig((0.0, 0.0, 0.0)), charge=1.5)):
+            assert pi == Polynomial.variable(6, 3 + axis) * -1.0j
 
     def test_covariant_momentum_gauge_term(self):
-        # On a constant spinor the derivative vanishes and only
-        # -(q/c) A survives: component x of the symmetric gauge for
-        # B = (0, 0, b) is -(b/2) y, so the result is (q b / 2 c) y.
+        # Component x of the symmetric gauge for B = (0, 0, b) is -(b/2) y,
+        # so -(q/c) A_x = (q b / 2 c) y = 1.0 y for q = 5, b = 4, c = 10.
         units = Units(light_speed=10.0)
-        field = FieldConfig((0.0, 0.0, 4.0))
-        spinor = PolySpinor.constant(1, [1.0, 0.0])
-        out = covariant_momentum(spinor, 1, 0, field, charge=5.0, units=units)
-        expected = Polynomial(3, {(0, 1, 0): 1.0})
-        assert out.components[0].max_coeff_diff(expected) <= 1e-15
+        p_x = momenta(FieldConfig((0.0, 0.0, 4.0)), charge=5.0, units=units)[0]
+        expected = Polynomial(6, {(0, 0, 0, 1, 0, 0): -1.0j, (0, 1, 0, 0, 0, 0): 1.0})
+        assert p_x.max_coeff_diff(expected) <= 1e-15
+
+
+def landau_field(b):
+    coeffs = np.zeros((3, 3))
+    coeffs[0, 1] = -b
+    return FieldConfig((0.0, 0.0, b), coeffs)
+
+
+def random_particles(rng, n):
+    return [ParticleSpec(float(rng.uniform(0.4, 2.5)), float(rng.uniform(-1.5, 1.5))) for _ in range(n)]
+
+
+def set_fields(fields, factor):
+    """Scale each frozen field's b after construction, leaving its gauge coefficients."""
+    for field in fields:
+        object.__setattr__(field, "b", tuple(factor * x for x in field.b))
 
 
 class TestKineticSquare:
     def test_residual_tiny_for_random_spinors(self, rng):
+        # The operator identity covers every spinor at once.
         spec = ParticleSpec(mass=1.3, charge=-0.8)
         for _ in range(8):
             field = FieldConfig(tuple(rng.normal(size=3)))
-            spinor = random_spinor(rng, 1, degree=3)
-            assert kinetic_square_residual(field, spec, spinor) <= 1e-12
+            assert kinetic_square_residual(field, spec) <= 1e-12
 
     def test_residual_tiny_in_landau_gauge(self, rng):
-        coeffs = np.zeros((3, 3))
-        coeffs[0, 1] = -2.5
-        field = FieldConfig((0.0, 0.0, 2.5), coeffs)
         spec = ParticleSpec(mass=0.9, charge=1.1)
-        spinor = random_spinor(rng, 1, degree=3)
-        assert kinetic_square_residual(field, spec, spinor) <= 1e-12
+        assert kinetic_square_residual(landau_field(2.5), spec) <= 1e-12
 
     def test_residual_tiny_for_second_particle_of_two(self, rng):
         spec = ParticleSpec(mass=2.0, charge=0.6)
         field = FieldConfig((0.3, -0.2, 0.9))
-        spinor = random_spinor(rng, 2, degree=2, max_terms=5)
-        assert kinetic_square_residual(field, spec, spinor, particle=2) <= 1e-12
+        assert kinetic_square_residual(field, spec, particle=2, nparticles=2) <= 1e-12
+
+    @pytest.mark.parametrize("nparticles", [1, 2, 3, 4])
+    def test_every_site_in_both_gauges(self, rng, nparticles):
+        spec = random_particles(rng, 1)[0]
+        for field in (FieldConfig(tuple(rng.normal(size=3))), landau_field(float(rng.normal()))):
+            for site in range(1, nparticles + 1):
+                assert kinetic_square_residual(field, spec, site, nparticles) <= 1e-12
+
+    @pytest.mark.parametrize("factor", [-1.0, 1.0 + 1e-10])
+    @pytest.mark.parametrize("gauge", ["symmetric", "landau"])
+    def test_perturbed_field_fails(self, rng, factor, gauge):
+        # sigma . B from a field the gauge does not produce: the check must see it.
+        spec = ParticleSpec(mass=1.3, charge=-0.8)
+        field = FieldConfig(tuple(rng.normal(size=3))) if gauge == "symmetric" else landau_field(1.7)
+        set_fields([field], factor)
+        residual = kinetic_square_residual(field, spec)
+        assert residual > (100 * 1e-12 if factor == -1.0 else 1e-12)
 
 
 class TestHamiltonianEquivalence:
@@ -499,15 +513,13 @@ class TestHamiltonianEquivalence:
         fields = [FieldConfig((0.0, 0.0, 1.0))]
         # Harmonic confinement keeps the potential polynomial exact.
         potential = Polynomial(3, {(2, 0, 0): 0.5, (0, 2, 0): 0.5, (0, 0, 2): 0.5})
-        spinor = random_spinor(rng, 1, degree=3)
-        residual = hamiltonian_equivalence_residual(particles, fields, potential, spinor)
+        residual = hamiltonian_equivalence_residual(particles, fields, potential)
         assert residual <= 1e-12
 
     def test_two_particles_distinct_fields(self, rng):
         particles = [ParticleSpec(1.0, -1.0), ParticleSpec(1836.0, 1.0)]
         fields = [FieldConfig((0.0, 0.0, 0.7)), FieldConfig((0.1, 0.0, 0.7))]
-        spinor = random_spinor(rng, 2, degree=2, max_terms=4)
-        residual = hamiltonian_equivalence_residual(particles, fields, None, spinor)
+        residual = hamiltonian_equivalence_residual(particles, fields, None)
         assert residual <= 1e-12
 
     def test_four_particles(self, rng):
@@ -518,35 +530,35 @@ class TestHamiltonianEquivalence:
             ParticleSpec(2.2, 0.8),
         ]
         fields = [FieldConfig(tuple(rng.normal(size=3))) for _ in range(4)]
-        spinor = random_spinor(rng, 4, degree=2, max_terms=4)
-        residual = hamiltonian_equivalence_residual(particles, fields, None, spinor)
+        residual = hamiltonian_equivalence_residual(particles, fields, None)
         assert residual <= 1e-12
+
+    @pytest.mark.parametrize("nparticles", [1, 2, 3, 4])
+    def test_landau_gauge_with_potential(self, rng, nparticles):
+        particles = random_particles(rng, nparticles)
+        fields = [landau_field(float(rng.normal())) for _ in range(nparticles)]
+        potential = random_polynomial(rng, 3 * nparticles, 2, 4)
+        assert hamiltonian_equivalence_residual(particles, fields, potential) <= 1e-12
+
+    @pytest.mark.parametrize("factor", [-1.0, 1.0 + 1e-10])
+    @pytest.mark.parametrize("nparticles", [1, 2, 3, 4])
+    def test_perturbed_fields_fail(self, rng, factor, nparticles):
+        particles = random_particles(rng, nparticles)
+        fields = [FieldConfig(tuple(rng.normal(size=3))) for _ in range(nparticles)]
+        potential = random_polynomial(rng, 3 * nparticles, 2, 4)
+        set_fields(fields, factor)
+        residual = hamiltonian_equivalence_residual(particles, fields, potential)
+        assert residual > (100 * 1e-12 if factor == -1.0 else 1e-12)
 
     def test_particle_count_capped_by_spin_sites(self):
         # The one particle limit is the spin embedding's MAX_SITES.
         particles = [ParticleSpec(1.0, 1.0)] * (MAX_SITES + 1)
         fields = [FieldConfig((0.0, 0.0, 1.0))] * (MAX_SITES + 1)
-        spinor = PolySpinor.constant(MAX_SITES + 1, [0.0] * 2 ** (MAX_SITES + 1))
         with pytest.raises(ValueError, match=re.escape(f"1..{MAX_SITES}, got {MAX_SITES + 1}")):
-            hamiltonian_equivalence_residual(particles, fields, None, spinor)
+            hamiltonian_equivalence_residual(particles, fields, None)
 
     def test_length_mismatch_rejected(self):
         particles = [ParticleSpec(1.0, 1.0)]
         fields = [FieldConfig((0.0, 0.0, 1.0))] * 2
-        spinor = PolySpinor.constant(1, [1.0, 0.0])
         with pytest.raises(ValueError, match="one"):
-            hamiltonian_equivalence_residual(particles, fields, None, spinor)
-
-
-class TestRandomSpinor:
-    def test_component_count_and_degree(self, rng):
-        spinor = random_spinor(rng, 2, degree=3)
-        assert spinor.nparticles == 2
-        assert len(spinor.components) == 4
-        assert all(c.degree() <= 3 for c in spinor.components)
-
-    def test_seed_determinism(self):
-        a = random_spinor(np.random.default_rng(7), 1)
-        b = random_spinor(np.random.default_rng(7), 1)
-        for x, y in zip(a.components, b.components):
-            assert x.coeffs == y.coeffs
+            hamiltonian_equivalence_residual(particles, fields, None)

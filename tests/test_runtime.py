@@ -25,3 +25,10 @@ def test_package_imports_only_stdlib_and_numpy():
     assert len(modules) >= 9
     foreign = {path.name: sorted(import_roots(path) - ALLOWED_ROOTS) for path in modules}
     assert {name: roots for name, roots in foreign.items() if roots} == {}
+
+
+def test_every_export_resolves():
+    # A name left in __all__ after its definition was deleted breaks
+    # ``from hamfactor import *``.
+    assert len(set(hamfactor.__all__)) == len(hamfactor.__all__)
+    assert [name for name in hamfactor.__all__ if not hasattr(hamfactor, name)] == []
