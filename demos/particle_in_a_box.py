@@ -21,8 +21,8 @@ from hamfactor import (
     auxiliary_component,
     coupled_pencil,
     eliminate_pencil,
-    hermitian_eigen,
     pencil_root_distance,
+    tridiagonal_eigen,
 )
 
 # Unit-width box: V = 0 inside, hard walls outside.
@@ -32,10 +32,10 @@ pencil = coupled_pencil(grid, np.zeros(n), mass=1.0)
 print(f"grid: {n} interior points, spacing h = {grid.h:.4f}")
 print(f"pencil size: {pencil.size} (state block {pencil.n} + momentum block {pencil.size - pencil.n})")
 
-# Eliminate the momentum block and diagonalize.
-hamiltonian = eliminate_pencil(pencil)
-values, vectors = hermitian_eigen(hamiltonian)
-spectrum = np.asarray(values, dtype=float)
+# Eliminate the momentum block: M^H M + V is tridiagonal, kept as its two
+# bands.  Every eigenvalue is needed below; one eigenvector is enough.
+diagonal, offdiagonal = eliminate_pencil(pencil)
+spectrum, vectors = tridiagonal_eigen(diagonal, offdiagonal, 1)
 
 # The continuum levels are (k pi)^2 / 2; the discrete ones approach them
 # from below at O(h^2).

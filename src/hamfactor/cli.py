@@ -10,8 +10,9 @@ Four subcommands:
 
 ``solve1d``
     Discretizes a one-dimensional potential, reports the low eigenvalues
-    of the eliminated operator M^H M + diag(V) as CSV, and cross-checks
-    each one against the determinant of the first-order pencil.
+    of the eliminated operator M^H M + diag(V), kept as its two bands, as
+    CSV, and cross-checks each one against the determinant of the
+    first-order pencil.
 
 ``zeeman``
     Writes the weak-field splitting table for a bound pair of opposite
@@ -59,8 +60,8 @@ from .linalg import (
     SingularBlockError,
     block_det_schur,
     det_lu,
-    hermitian_eigen,
     schur_factor_check,
+    tridiagonal_eigen,
     worse,
 )
 from .quantize import (
@@ -106,7 +107,7 @@ SOLVE1D_PRESETS = ("box", "harmonic")
 
 #: Largest working set a report may need, in bytes (see ``solve1d_bytes``
 #: and ``zeeman_bytes``); a larger request is a configuration error,
-#: reported before any allocation.  2 GiB admits solve1d n up to 4729 and
+#: reported before any allocation.  2 GiB admits solve1d n up to 11521 and
 #: zeeman n_max up to 146.
 MAX_WORKING_BYTES = 2 * 1024**3
 
@@ -368,12 +369,30 @@ VERIFY_SUITES: tuple[tuple[str, int, SuiteRunner], ...] = (
 )
 
 
+def _check_verify_units(units: Units) -> None:
+    """Reject a unit system whose (q/c)^2 or hbar^2 overflows, before any draw.
+
+    The suites square both the coupling q/c of the vector potential and
+    hbar; an overflow would otherwise surface only as NumPy warnings and
+    non-finite matrix entries deep inside a draw.
+    """
+    coupling = units.charge / units.light_speed
+    if not math.isfinite(coupling * coupling):
+        raise ConfigError(
+            f"units.light_speed = {units.light_speed!r} with units.charge = {units.charge!r} "
+            f"makes (q/c)^2 not finite"
+        )
+    if not math.isfinite(units.hbar * units.hbar):
+        raise ConfigError(f"units.hbar = {units.hbar!r} makes hbar^2 not finite")
+
+
 def run_verify(args: argparse.Namespace) -> int:
     settings = _settings(args)
     seed = _require_int(settings.get("seed", 42), "seed", 0)
     trials = _require_int(settings.get("trials", 100), "trials", 1)
     tolerances = _tolerances_from_config(settings.get("tolerances"))
     units = _units_from_config(settings.get("units"))
+    _check_verify_units(units)
 
     checks = []
     all_passed = True
@@ -444,11 +463,23 @@ def _check_working_set(command: str, name: str, value: int, needed: int) -> None
 def solve1d_bytes(n: int) -> int:
     """Upper estimate of solve1d's peak working set for n interior points.
 
-    The n x n operator, its eigenvectors and the eigensolver's temporaries
-    make the peak; six complex n x n arrays bound it (measured: 56 bytes
-    per n^2 of traced allocations and 285 MB peak RSS at n = 2000).
+    The operator stays as two bands; two real n x n arrays bound the
+    peak: the assembled tridiagonal and LAPACK's copy of it while the
+    eigenvalues are computed, or up to n eigenvectors and their block's
+    copy afterwards.  The bands, the Python float lists of inverse
+    iteration and the CSV rows get 2 KiB per point.  Measured at n = 420,
+    900 and 2000: 8 bytes per n^2 of traced allocations and 16 of peak-RSS
+    growth with the default 12 levels, 16.2-16.5 traced with count = n.
     """
-    return 6 * 16 * (n + 1) * n
+    return 16 * n * n + 2048 * n
+
+
+def _band_residual(diagonal: np.ndarray, offdiagonal: np.ndarray, energy: float, state: np.ndarray) -> float:
+    """max|H psi - E psi| for the Hermitian tridiagonal H with the given bands."""
+    gap = (diagonal - energy) * state.astype(np.result_type(state, offdiagonal))
+    gap[:-1] += offdiagonal * state[1:]
+    gap[1:] += offdiagonal.conj() * state[:-1]
+    return float(np.abs(gap).max())
 
 
 def run_solve1d(args: argparse.Namespace) -> int:
@@ -469,19 +500,19 @@ def run_solve1d(args: argparse.Namespace) -> int:
     grid = Grid1D(x_min, x_max, n)
     samples = _potential_samples(potential, grid)
     pencil = coupled_pencil(grid, samples, mass, hbar=units.hbar)
-    hamiltonian = eliminate_pencil(pencil)
-    values, vectors = hermitian_eigen(hamiltonian)
+    diagonal, offdiagonal = eliminate_pencil(pencil)
+    values, vectors = tridiagonal_eigen(diagonal, offdiagonal, count)
 
-    all_values = np.real(values)
     rows = []
     for index in range(count):
         energy = float(values[index])
-        state = vectors[:, index]
-        hamiltonian_residual = float(np.abs(hamiltonian @ state - energy * state).max())
+        hamiltonian_residual = _band_residual(diagonal, offdiagonal, energy, vectors[:, index])
+        # The determinant and root distance come from the pencil, not the
+        # eigensolver, so they check the spectrum independently.
         log_magnitude = pencil.log_abs_det(energy)
         log10_det = log_magnitude / math.log(10.0)
         det_cell = "-inf" if math.isinf(log10_det) else repr(log10_det)
-        distance = root_distance(log_magnitude, energy, all_values)
+        distance = root_distance(log_magnitude, energy, values)
         distance_cell = "-inf" if distance == 0.0 else repr(math.log10(distance))
         rows.append((index, repr(energy), repr(hamiltonian_residual), det_cell, distance_cell))
 

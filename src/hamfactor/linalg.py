@@ -2,12 +2,13 @@
 
 All routines operate on plain numpy arrays with ``complex128`` entries
 and are sized for desk-scale matrices.  Determinants and null spaces use
-explicit elimination so pivoting and rank decisions stay visible; the
-Hermitian eigensolver defers to LAPACK, which meets the residual
-contract with orders of magnitude to spare at these sizes.  Real
-symmetric tridiagonal determinants have their own O(n) banded
-elimination.  ``worse`` is the NaN-keeping maximum that every residual
-in the package folds with.
+explicit elimination so pivoting and rank decisions stay visible.
+Tridiagonal matrices have their own kernels: an O(n) banded
+elimination for real symmetric log-determinants, and a Hermitian
+eigensolver that takes every eigenvalue from LAPACK's values-only path
+and computes each requested eigenvector in O(n) by inverse iteration.
+``worse`` is the NaN-keeping maximum that every residual in the package
+folds with.
 """
 
 from __future__ import annotations
@@ -158,6 +159,159 @@ def logabsdet_tridiagonal(diagonal, offdiagonal) -> tuple[float, float]:
     return float(np.log(np.abs(p)).sum()), -1.0 if negatives % 2 else 1.0
 
 
+#: Eigenvalues of one block closer together than this share of its scale
+#: (the power of two just above its 1-norm) form a cluster: inverse
+#: iteration orthogonalizes each of their vectors against the ones already
+#: found (the ORTOL of LAPACK ?stein).
+_CLUSTER_GAP = 1e-3
+
+_EPS = float(np.finfo(float).eps)
+
+
+def tridiagonal_eigen(diagonal, offdiagonal, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues of a Hermitian tridiagonal T, and eigenvectors of the lowest ``count``.
+
+    ``diagonal`` holds the n real diagonal entries and ``offdiagonal`` the
+    n - 1 entries above them, real or complex; the entries below are their
+    conjugates.  Returns the n eigenvalues ascending and an n x count
+    array whose columns are the matching unit eigenvectors, real when the
+    off-diagonal is real.
+
+    A complex off-diagonal is made real by the diagonal unitary similarity
+    that ``Pencil1D.log_abs_det`` uses, which replaces each entry by its
+    modulus; the vectors are mapped back by its phases.  T splits into
+    unreduced blocks at zero off-diagonal entries.  Each block's values
+    come from LAPACK's values-only symmetric solver on the assembled real
+    block, the one n x n array (NumPy has no tridiagonal eigensolver), and
+    each requested vector costs O(n) by inverse iteration on its block.
+    Its random start vectors come from a fixed seed, so results repeat
+    bit for bit.
+    """
+    d = np.asarray(diagonal, dtype=float)
+    off = np.asarray(offdiagonal)
+    n = d.size
+    if d.ndim != 1 or n == 0 or off.shape != (n - 1,):
+        raise ValueError(
+            f"need n >= 1 diagonal and n - 1 off-diagonal entries, got shapes {d.shape} and {off.shape}"
+        )
+    if not (np.isfinite(d).all() and np.isfinite(off).all()):
+        raise ValueError("matrix entries must be finite")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or not 0 <= count <= n:
+        raise ValueError(f"count must be an integer in 0..{n}, got {count!r}")
+    phases = None
+    if np.iscomplexobj(off) and off.imag.any():
+        e = np.abs(off)
+        # conj(phase_j) t_j phase_(j+1) = |t_j| with phase_(j+1) = phase_j conj(t_j) / |t_j|.
+        unit = np.ones(n - 1, dtype=np.complex128)
+        coupled = e > 0.0
+        unit[coupled] = off[coupled].conj() / e[coupled]
+        phases = np.concatenate(([1.0 + 0.0j], np.cumprod(unit)))
+        phases /= np.abs(phases)  # the running product drifts off the unit circle by rounding
+    else:
+        e = np.real(off).astype(float)
+
+    bounds = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), n]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    # Block [lo, hi) puts its spectrum at positions lo..hi-1 of the concatenation.
+    spectra = np.concatenate(
+        [np.linalg.eigvalsh(_symmetric_tridiagonal(d[lo:hi], e[lo : hi - 1])) for lo, hi in blocks]
+    )
+    picked = np.argsort(spectra, kind="stable")
+    values = spectra[picked]
+    picked = picked[:count]
+
+    vectors = np.zeros((n, count), dtype=float if phases is None else np.complex128)
+    rng = np.random.default_rng(0)
+    for lo, hi in blocks:
+        columns = np.flatnonzero((lo <= picked) & (picked < hi))
+        if columns.size:
+            vectors[lo:hi, columns] = _inverse_iteration(d[lo:hi], e[lo : hi - 1], values[columns], rng).T
+    if phases is not None:
+        vectors *= phases[:, None]
+    return values, vectors
+
+
+def _symmetric_tridiagonal(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
+    n = diagonal.size
+    t = np.diag(diagonal)
+    flat = t.reshape(-1)
+    flat[1 :: n + 1] = offdiagonal
+    flat[n :: n + 1] = offdiagonal
+    return t
+
+
+def _inverse_iteration(diagonal, offdiagonal, values, rng: np.random.Generator) -> np.ndarray:
+    """Unit eigenvectors of an unreduced real symmetric tridiagonal block B, one per eigenvalue.
+
+    ``values`` are eigenvalues of B, ascending; returns one vector per
+    row.  B is first scaled by a power of two to a 1-norm below 1.  For
+    each value, B - value = L D L^T is factored without pivoting, and a
+    pivot below eps in modulus is raised to eps, as ?stein perturbs small
+    pivots.  The first solve starts from L r with r random, so only D L^T
+    is solved (the first step of EISPACK tinvit); one refinement step then
+    solves with both factors.  Inside a cluster the iterate is
+    orthogonalized against the vectors already found before the
+    refinement solve and twice after it.  Every pass runs over Python
+    floats, so a vector costs O(n) with no per-entry NumPy call.
+    """
+    norm = np.abs(diagonal)
+    norm[1:] += np.abs(offdiagonal)
+    norm[:-1] += np.abs(offdiagonal)
+    exponent = math.frexp(float(norm.max()))[1]
+    d = np.ldexp(diagonal, -exponent).tolist()
+    e = np.ldexp(offdiagonal, -exponent)
+    e, e2 = e.tolist(), [0.0, *(e * e).tolist()]
+    shifts = np.ldexp(values, -exponent).tolist()
+    vectors = np.empty((len(shifts), len(d)))
+    first = 0  # first row of the current cluster
+    for row, shift in enumerate(shifts):
+        if row and shift - shifts[row - 1] > _CLUSTER_GAP:
+            first = row
+        found = vectors[first:row]
+        pivots = _ldl_pivots(d, e2, shift)
+        vector = _back_substitute(pivots, e, rng.uniform(-1.0, 1.0, len(d)).tolist())
+        if row > first:
+            vector = np.array(vector)
+            vector = (vector - (found @ vector) @ found).tolist()
+        vector = np.array(_back_substitute(pivots, e, _forward_substitute(pivots, e, vector)))
+        for _ in range(2 if row > first else 0):
+            vector -= (found @ vector) @ found
+        vectors[row] = vector / np.linalg.norm(vector)
+    return vectors
+
+
+def _ldl_pivots(d: list, e2: list, shift: float) -> list:
+    """Pivots D of T - shift = L D L^T, where L has e_i / D_i below its unit diagonal.
+
+    ``e2`` holds the squared off-diagonal, led by a 0 for the first row.  A
+    pivot below eps in modulus is raised to +-eps.
+    """
+    pivots = []
+    pivot = 1.0
+    for off2, diag in zip(e2, d):
+        pivot = diag - shift - off2 / pivot
+        if -_EPS < pivot < _EPS:
+            pivot = _EPS if pivot >= 0.0 else -_EPS
+        pivots.append(pivot)
+    return pivots
+
+
+def _forward_substitute(pivots: list, e: list, x: list) -> list:
+    """w with L w = x."""
+    w = x[0]
+    return [w, *[(w := entry - off * w / pivot) for off, pivot, entry in zip(e, pivots, x[1:])]]
+
+
+def _back_substitute(pivots: list, e: list, w: list) -> list:
+    """y with D L^T y = w."""
+    y = 0.0
+    backward = [
+        (y := (entry - off * y) / pivot) for entry, off, pivot in zip(w[::-1], [0.0, *e[::-1]], pivots[::-1])
+    ]
+    backward.reverse()
+    return backward
+
+
 def _split_blocks(a: np.ndarray, k: int):
     n = _require_square(a)
     if not 0 < k < n:
@@ -258,27 +412,3 @@ def null_space(m, tol: float = NULL_SPACE_TOL) -> list[np.ndarray]:
     vectors[perm] = stacked  # undo the column permutation
     q, _ = np.linalg.qr(vectors)
     return [q[:, j] for j in range(nfree)]
-
-
-def hermitian_eigen(m, herm_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix, ascending eigenvalues.
-
-    Rejects inputs whose anti-Hermitian part exceeds ``herm_tol`` times
-    the matrix scale, symmetrizes the rest and hands the problem to
-    LAPACK.  Returns ``(values, vectors)`` with eigenvectors as columns.
-    """
-    a = as_complex_matrix(m)
-    _require_square(a)
-    scale = max(float(np.abs(a).max()), 1.0)
-    deviation = float(np.abs(a - a.conj().T).max())
-    if deviation > herm_tol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max|M - M^H| = {deviation:.3e} "
-            f"exceeds {herm_tol:.1e} * scale"
-        )
-    h = 0.5 * (a + a.conj().T)
-    if np.abs(h.imag).max() == 0.0:
-        values, vectors = np.linalg.eigh(h.real)
-        return values, vectors.astype(np.complex128)
-    values, vectors = np.linalg.eigh(h)
-    return values, vectors

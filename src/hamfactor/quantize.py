@@ -3,7 +3,8 @@
 Two complementary tools.  The grid half discretizes the coupled
 first-order system for one particle on a line: an energy-linear
 Hermitian pencil whose auxiliary block can be eliminated exactly,
-recovering the standard three-point Schroedinger operator.  The
+recovering the standard three-point Schroedinger operator as the two
+bands of a Hermitian tridiagonal matrix.  The
 operator half writes minimal-coupling operators as elements of the Weyl
 algebra, normal-ordered polynomials in the 3N coordinates and their 3N
 derivatives multiplied by ``weyl_product``, so an operator identity
@@ -163,21 +164,19 @@ def coupled_pencil(grid: Grid1D, potential, mass: float, hbar: float = 1.0) -> P
     return Pencil1D(diagonal, subdiagonal, v)
 
 
-def eliminate_pencil(pencil: Pencil1D) -> np.ndarray:
-    """Exact Schur complement onto the state block: M^H M + diag(V).
+def eliminate_pencil(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Schur complement onto the state block, M^H M + diag(V), as its two bands.
 
-    With diagonal a and subdiagonal b the product is tridiagonal,
-    |a_j|^2 + |b_j|^2 on the diagonal and conj(b_j) a_(j+1) above it,
-    and is written straight into the one n x n result.
+    With momentum diagonal a and subdiagonal b the product is Hermitian
+    tridiagonal: the real diagonal |a_j|^2 + |b_j|^2 + V_j and the
+    off-diagonal conj(b_j) a_(j+1) above it, which is complex in general
+    and exactly real for ``coupled_pencil``.  Returns ``(diagonal,
+    offdiagonal)``, the input of ``linalg.tridiagonal_eigen``; no matrix
+    is formed.
     """
     a, b = pencil.diagonal, pencil.subdiagonal
-    n = pencil.n
-    out = np.zeros((n, n), dtype=np.complex128)
-    flat = out.reshape(-1)
-    flat[:: n + 1] = (a.conj() * a + b.conj() * b) + pencil.potential
-    flat[1 :: n + 1] = b[:-1].conj() * a[1:]
-    flat[n :: n + 1] = a[1:].conj() * b[:-1]
-    return out
+    diagonal = (a.conj() * a + b.conj() * b).real + pencil.potential
+    return diagonal, b[:-1].conj() * a[1:]
 
 
 def auxiliary_component(pencil: Pencil1D, psi1) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import worse
+from .linalg import tridiagonal_eigen, worse
 from .polynomials import Polynomial
 from .quantize import FieldConfig, Grid1D, coupled_pencil, eliminate_pencil
 from .units import ATOMIC, Units
@@ -171,7 +171,7 @@ def radial_eigenvalues(
         raise ValueError(f"reduced mass must be positive and finite, got {mu}")
     r = grid.points
     v = l * (l + 1) * units.hbar**2 / (2.0 * mu * r**2) - z * units.charge**2 / r
-    return np.linalg.eigvalsh(eliminate_pencil(coupled_pencil(grid, v, mu, units.hbar)).real)
+    return tridiagonal_eigen(*eliminate_pencil(coupled_pencil(grid, v, mu, units.hbar)), 0)[0]
 
 
 # Coordinate layout for the polynomial checks: lab variables are

@@ -308,8 +308,8 @@ class TestSolve1d:
         assert calls == [2 * 90 + 1] * 7
 
     def test_oversized_grid_rejected_before_allocation(self, capsys):
-        # The documented bound: n up to 4729 fits the limit.
-        largest = 4729
+        # The documented bound: n up to 11521 fits the limit.
+        largest = 11521
         assert solve1d_bytes(largest) <= MAX_WORKING_BYTES < solve1d_bytes(largest + 1)
         tracemalloc.start()
         try:
@@ -320,6 +320,50 @@ class TestSolve1d:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("n, count", [(900, 12), (150, 150)])
+    def test_working_set_estimate_bounds_traced_peak(self, tmp_path, n, count):
+        out = tmp_path / "levels.csv"
+        config = write_config(tmp_path, {"n": n, "count": count})
+        tracemalloc.start()
+        try:
+            assert run("solve1d", "--config", config, "--output", out) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= solve1d_bytes(n)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"potential": "box", "n": 900, "x_min": 0.0, "x_max": 1.3, "mass": 0.7},
+            {"potential": "harmonic", "n": 660, "mass": 1.4},
+        ],
+        ids=["box-900", "harmonic-660"],
+    )
+    def test_residual_at_rounding_level_of_the_operator(self, tmp_path, config):
+        out = tmp_path / "levels.csv"
+        assert run("solve1d", "--config", write_config(tmp_path, config), "--output", out) == 0
+        _, _, rows = read_csv_report(out)
+        x_min, x_max = config.get("x_min", -12.0), config.get("x_max", 12.0)
+        h = (x_max - x_min) / (config["n"] + 1)
+        points = x_min + h * np.arange(1, config["n"] + 1)
+        v_max = 0.0 if config["potential"] == "box" else float(np.max(0.5 * points**2))
+        scale = 4.0 / (2.0 * config["mass"] * h * h) + v_max
+        assert len(rows) == 12
+        for row in rows:
+            assert float(row[2]) <= 1e-14 * scale
+
+    def test_underflowing_kinetic_scale_splits_into_exact_levels(self, tmp_path):
+        # hbar^2 underflows: both bands vanish and the operator splits into
+        # 1 x 1 blocks, so every level is exact.
+        out = tmp_path / "levels.csv"
+        config = write_config(tmp_path, {"n": 20, "count": 3, "units": {"hbar": 1e-200}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("solve1d", "--config", config, "--output", out) == 0
+        _, _, rows = read_csv_report(out)
+        assert [(row[1], row[2], row[4]) for row in rows] == [("0.0", "0.0", "-inf")] * 3
 
     def test_potential_table_matches_preset(self, tmp_path):
         n = 40
@@ -505,6 +549,10 @@ class TestArgumentHandling:
             # A pencil whose kinetic scale overflows names the settings in it.
             ("solve1d", {"n": 10, "mass": 1e-320}, "mass = 1e-320, hbar = 1.0"),
             ("solve1d", {"n": 10, "x_min": 0, "x_max": 1e-310}, "grid span [0.0, 1e-310]"),
+            # A unit system whose (q/c)^2 or hbar^2 overflows is named before any draw.
+            ("verify", {"units": {"light_speed": 1e-300}}, "units.light_speed = 1e-300"),
+            ("verify", {"units": {"charge": 1e200}}, "units.charge = 1e+200"),
+            ("verify", {"units": {"hbar": 1e200}}, "units.hbar = 1e+200"),
         ],
     )
     def test_rejected_values_exit_2_without_report(self, tmp_path, capsys, command, config, fragment):
@@ -518,9 +566,7 @@ class TestArgumentHandling:
         assert err.startswith("error: ") and fragment in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
-        overflowed = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        # Only verify still computes its way into the overflow it rejects.
-        assert not overflowed or command == "verify"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_missing_subcommand(self, capsys):
         assert run() == 2

@@ -10,11 +10,11 @@ from hamfactor.linalg import (
     as_complex_matrix,
     block_det_schur,
     det_lu,
-    hermitian_eigen,
     logabsdet_lu,
     logabsdet_tridiagonal,
     null_space,
     schur_factor_check,
+    tridiagonal_eigen,
     worse,
 )
 
@@ -264,29 +264,98 @@ class TestNullSpace:
             assert np.abs(m @ vec).max() <= 1e-11 * np.abs(m).max()
 
 
-class TestHermitianEigen:
+def hermitian_tridiagonal(diagonal, offdiagonal):
+    """The dense Hermitian matrix with the given diagonal and upper band."""
+    offdiagonal = np.asarray(offdiagonal, dtype=np.complex128)
+    return np.diag(np.asarray(diagonal, dtype=np.complex128)) + np.diag(offdiagonal, 1) + np.diag(offdiagonal.conj(), -1)
+
+
+def check_eigenpairs(diagonal, offdiagonal, count):
+    """Worst value gap to dense eigh, worst residual and orthonormality, each against |T|_1."""
+    t = hermitian_tridiagonal(diagonal, offdiagonal)
+    norm = np.abs(t).sum(axis=0).max()
+    values, vectors = tridiagonal_eigen(diagonal, offdiagonal, count)
+    assert values.shape == (t.shape[0],) and vectors.shape == (t.shape[0], count)
+    value_gap = np.abs(values - np.linalg.eigh(t)[0]).max() / norm
+    residual = np.abs(t @ vectors - vectors * values[:count]).max(initial=0.0) / norm
+    orthonormality = np.abs(vectors.conj().T @ vectors - np.eye(count)).max(initial=0.0)
+    return value_gap, residual, orthonormality
+
+
+class TestTridiagonalEigen:
+    @pytest.mark.parametrize("complex_band", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 200])
+    def test_matches_dense_eigh(self, rng, n, complex_band):
+        for count in sorted({0, 1, n}):
+            for _ in range(3):
+                diagonal = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
+                offdiagonal = rng.normal(size=n - 1)
+                if complex_band:
+                    offdiagonal = offdiagonal + 1j * rng.normal(size=n - 1)
+                value_gap, residual, orthonormality = check_eigenpairs(diagonal, offdiagonal, count)
+                assert value_gap <= 1e-13
+                assert residual <= 1e-13
+                assert orthonormality <= 1e-12
+
+    def test_vectors_are_real_for_a_real_band_and_complex_otherwise(self):
+        assert tridiagonal_eigen([1.0, 2.0], [0.5], 2)[1].dtype == np.float64
+        assert tridiagonal_eigen([1.0, 2.0], [0.5 + 0.0j], 2)[1].dtype == np.float64
+        assert tridiagonal_eigen([1.0, 2.0], [0.5j], 2)[1].dtype == np.complex128
+
     def test_analytic_two_by_two(self):
-        values, vectors = hermitian_eigen([[1.0, 2.0], [2.0, 1.0]])
+        values, vectors = tridiagonal_eigen([1.0, 1.0], [2.0], 2)
         assert values == pytest.approx([-1.0, 3.0])
-        residual = np.abs([[1.0, 2.0], [2.0, 1.0]] @ vectors - vectors * values).max()
-        assert residual <= 1e-14
+        assert np.abs(np.abs(vectors) - math.sqrt(0.5)).max() <= 1e-15
 
-    def test_ascending_and_residuals(self, rng):
-        a = random_complex(rng, 8)
-        h = a + a.conj().T
-        values, vectors = hermitian_eigen(h)
-        assert np.all(np.diff(values) >= -1e-12)
-        residual = np.abs(h @ vectors - vectors * values).max()
-        assert residual <= 1e-12 * np.abs(values).max()
+    def test_zero_matrix_splits_into_unit_vectors(self):
+        values, vectors = tridiagonal_eigen(np.zeros(6), np.zeros(5), 3)
+        assert np.array_equal(values, np.zeros(6))
+        assert np.array_equal(np.abs(vectors), np.eye(6)[:, :3])
 
-    def test_rejects_non_hermitian(self, rng):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigen([[0.0, 1.0], [0.0, 0.0]])
+    def test_split_blocks_keep_disjoint_support(self, rng):
+        # A zero coupling splits T; each vector lives on the block that owns its value.
+        diagonal = np.array([5.0, 6.0, 0.0, 1.0, 2.0])
+        offdiagonal = np.array([0.5, 0.0, 0.25, 0.25])
+        values, vectors = tridiagonal_eigen(diagonal, offdiagonal, 5)
+        assert np.all(np.diff(values) > 0)
+        for column in range(5):
+            on_first = np.abs(vectors[:2, column]).max() > 0.0
+            on_second = np.abs(vectors[2:, column]).max() > 0.0
+            assert on_first != on_second
+        assert check_eigenpairs(diagonal, offdiagonal, 5)[1] <= 1e-15
 
-    def test_real_input_gives_real_path_results(self):
-        values, vectors = hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
-        assert values == pytest.approx([1.0, 2.0, 3.0])
-        assert vectors.dtype == np.complex128
+    def test_tight_cluster_stays_orthonormal(self):
+        # Nearly decoupled copies give pairs far closer than rounding of |T|.
+        block = np.array([1.0, 2.0, 3.0, 4.0])
+        diagonal = np.concatenate([block, block])
+        offdiagonal = np.array([0.5, 0.5, 0.5, 1e-20, 0.5, 0.5, 0.5])
+        value_gap, residual, orthonormality = check_eigenpairs(diagonal, offdiagonal, 8)
+        assert value_gap <= 1e-13 and residual <= 1e-13 and orthonormality <= 1e-12
+
+    def test_extreme_scales(self):
+        for scale in (1e-300, 1e300):
+            diagonal = scale * np.array([2.0, 2.0, 2.0, 2.0])
+            offdiagonal = scale * np.array([-1.0, -1.0, -1.0])
+            values, vectors = tridiagonal_eigen(diagonal, offdiagonal, 4)
+            assert np.isfinite(values).all() and np.isfinite(vectors).all()
+            assert np.abs(vectors.T @ vectors - np.eye(4)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "diagonal, offdiagonal, count, match",
+        [
+            ([], [], 0, "n >= 1"),
+            ([1.0, 2.0], [1.0, 2.0], 1, "n - 1"),
+            ([[1.0]], [], 1, "n >= 1"),
+            ([1.0, math.nan], [0.0], 1, "finite"),
+            ([1.0, 2.0], [complex(0.0, math.inf)], 1, "finite"),
+            ([1.0, 2.0], [0.5], 3, "count"),
+            ([1.0, 2.0], [0.5], -1, "count"),
+            ([1.0, 2.0], [0.5], True, "count"),
+        ],
+    )
+    def test_rejects_bad_input(self, diagonal, offdiagonal, count, match):
+        with pytest.raises(ValueError, match=match):
+            tridiagonal_eigen(diagonal, offdiagonal, count)
 
 
 class TestAsComplexMatrix:

@@ -21,11 +21,11 @@ from hamfactor import (
     det_lu,
     eliminate_pencil,
     hamiltonian_equivalence_residual,
-    hermitian_eigen,
     kinetic_square_residual,
     momentum_matrix,
     pencil_root_distance,
     random_polynomial,
+    tridiagonal_eigen,
     weyl_product,
 )
 from hamfactor.linalg import logabsdet_lu, logabsdet_tridiagonal
@@ -48,6 +48,16 @@ def box_spectrum(n, mass=1.0, hbar=1.0, width=1.0):
 def harmonic_pencil(n, span=10.0):
     grid = Grid1D(-span, span, n)
     return coupled_pencil(grid, 0.5 * grid.points**2, 1.0), grid
+
+
+def dense(diagonal, offdiagonal):
+    """The Hermitian tridiagonal matrix with the given bands, assembled."""
+    return np.diag(diagonal.astype(np.complex128)) + np.diag(offdiagonal, 1) + np.diag(offdiagonal.conj(), -1)
+
+
+def eigen(pencil, count=0):
+    """All eigenvalues of the eliminated operator and the lowest ``count`` eigenvectors."""
+    return tridiagonal_eigen(*eliminate_pencil(pencil), count)
 
 
 class TestGrid1D:
@@ -202,7 +212,7 @@ class TestBandedPencil:
     @pytest.mark.parametrize("n", [3, 4, 33, 200])
     def test_determinant_matches_dense_lu_on_permuted_pencil(self, rng, kind, n):
         pencil = sample_pencil(kind, n, rng)
-        spectrum = np.linalg.eigvalsh(eliminate_pencil(pencil))
+        spectrum = np.linalg.eigvalsh(dense(*eliminate_pencil(pencil)))
         # Mid-gaps only: the symmetric well's top levels come in exactly
         # degenerate pairs, whose midpoint is itself a root.
         gaps = np.flatnonzero(np.diff(spectrum) > 1e-6 * np.abs(spectrum).max())
@@ -225,8 +235,10 @@ class TestBandedPencil:
     def test_elimination_is_bit_equal_to_dense_product(self, rng, kind, n):
         pencil = sample_pencil(kind, n, rng)
         m = pencil.momentum
-        dense = m.conj().T @ m + np.diag(pencil.potential.astype(np.complex128))
-        assert np.array_equal(eliminate_pencil(pencil), dense)
+        product = m.conj().T @ m + np.diag(pencil.potential.astype(np.complex128))
+        diagonal, offdiagonal = eliminate_pencil(pencil)
+        assert diagonal.dtype == np.float64
+        assert np.array_equal(dense(diagonal, offdiagonal), product)
 
     def test_general_bidiagonal_momentum_uses_bands(self, rng):
         n = 7
@@ -239,7 +251,7 @@ class TestBandedPencil:
         m[:n] += np.diag(a)
         m[1:] += np.diag(b)
         assert np.array_equal(pencil.momentum, m)
-        assert np.allclose(eliminate_pencil(pencil), m.conj().T @ m + np.diag(v), rtol=1e-14, atol=1e-14)
+        assert np.allclose(dense(*eliminate_pencil(pencil)), m.conj().T @ m + np.diag(v), rtol=1e-14, atol=1e-14)
         psi1 = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.allclose(auxiliary_component(pencil, psi1), -(m @ psi1), rtol=1e-14, atol=1e-14)
         for energy in (-3.0, 0.4, 9.0):
@@ -252,15 +264,23 @@ class TestEliminate:
         grid = Grid1D(0.0, 1.5, 8)
         v = rng.normal(size=8)
         pencil = coupled_pencil(grid, v, 2.2, hbar=0.9)
-        reduced = eliminate_pencil(pencil)
+        reduced = dense(*eliminate_pencil(pencil))
         m = pencil.momentum
         assert np.allclose(reduced, m.conj().T @ m + np.diag(v), rtol=1e-14)
 
     def test_reduced_operator_is_hermitian(self, rng):
+        # The bands describe M^H M + V exactly: a real diagonal, the upper
+        # band of the dense product, and its conjugate below.
         grid = Grid1D(-3.0, 3.0, 11)
         pencil = coupled_pencil(grid, rng.normal(size=11), 0.7)
-        reduced = eliminate_pencil(pencil)
-        assert np.allclose(reduced, reduced.conj().T, rtol=0, atol=0)
+        diagonal, offdiagonal = eliminate_pencil(pencil)
+        m = pencil.momentum
+        product = m.conj().T @ m + np.diag(pencil.potential)
+        assert np.array_equal(np.diag(product).imag, np.zeros(11))
+        assert np.array_equal(np.diag(product, 1), offdiagonal)
+        assert np.array_equal(np.diag(product, -1), offdiagonal.conj())
+        # coupled_pencil's off-diagonal is exactly real.
+        assert np.array_equal(offdiagonal.imag, np.zeros(10))
 
 
 class TestPencilDeterminant:
@@ -269,7 +289,7 @@ class TestPencilDeterminant:
     def test_matches_characteristic_polynomial(self, rng):
         grid = Grid1D(0.0, 1.0, 6)
         pencil = coupled_pencil(grid, rng.normal(size=6), 1.4)
-        reduced = eliminate_pencil(pencil)
+        reduced = dense(*eliminate_pencil(pencil))
         for energy in (-5.0, 0.0, 17.3, 120.0):
             lhs = det_lu(pencil.matrix(energy))
             rhs = det_lu(energy * np.eye(6) - reduced)
@@ -277,7 +297,7 @@ class TestPencilDeterminant:
 
     def test_vanishes_at_eigenvalues(self):
         pencil = box_pencil(5)
-        values, _ = hermitian_eigen(eliminate_pencil(pencil))
+        values, _ = eigen(pencil)
         for value in values:
             det = det_lu(pencil.matrix(float(value)))
             # Compare against the determinant one gap away for scale.
@@ -289,16 +309,16 @@ class TestBoxSpectrum:
     def test_discrete_eigenvalues_match_closed_form(self):
         n = 40
         pencil = box_pencil(n, mass=1.6, hbar=1.2)
-        values, vectors = hermitian_eigen(eliminate_pencil(pencil))
+        values, vectors = eigen(pencil, n)
         expected = box_spectrum(n, mass=1.6, hbar=1.2)
         assert np.allclose(values, expected, rtol=1e-12)
-        reduced = eliminate_pencil(pencil)
+        reduced = dense(*eliminate_pencil(pencil))
         residual = np.abs(reduced @ vectors - vectors * values).max()
         assert residual <= 1e-10 * abs(values[-1])
 
     def test_ground_state_converges_to_continuum(self):
         pencil = box_pencil(60)
-        values, _ = hermitian_eigen(eliminate_pencil(pencil))
+        values, _ = eigen(pencil)
         exact = math.pi**2 / 2.0
         assert abs(values[0] - exact) / exact < 1e-3
 
@@ -308,17 +328,56 @@ class TestBoxSpectrum:
         exact = math.pi**2 / 2.0
 
         def ground_error(n):
-            values, _ = hermitian_eigen(eliminate_pencil(box_pencil(n)))
+            values, _ = eigen(box_pencil(n))
             return abs(values[0] - exact)
 
         ratio = ground_error(40) / ground_error(81)
         assert 3.5 <= ratio <= 4.5
 
 
+class TestEliminatedSpectrum:
+    """Eigenpairs of the banded M^H M + V from tridiagonal_eigen, against the assembled matrix."""
+
+    @staticmethod
+    def measure(pencil, count):
+        t = dense(*eliminate_pencil(pencil))
+        norm = np.abs(t).sum(axis=0).max()
+        values, vectors = eigen(pencil, count)
+        residual = np.abs(t @ vectors - vectors * values[:count]).max() / norm
+        orthonormality = np.abs(vectors.conj().T @ vectors - np.eye(count)).max()
+        return values, norm, residual, orthonormality
+
+    def test_identical_blocks_split_by_zero_coupling(self):
+        # b_(k-1) = 0 zeroes conj(b_(k-1)) a_k, and b, V repeat with period k,
+        # so the bands are two copies of one block: every eigenvalue is double.
+        k = 6
+        phase = np.exp(1j * np.linspace(0.3, 2.0, k))
+        b = np.tile(np.append(0.7 * phase[:-1], 0.0), 2)
+        v = np.tile(np.linspace(-1.0, 2.0, k), 2)
+        pencil = Pencil1D(np.ones(2 * k), b, v)
+        diagonal, offdiagonal = eliminate_pencil(pencil)
+        assert offdiagonal[k - 1] == 0 and np.iscomplexobj(offdiagonal) and offdiagonal.imag.any()
+        values, norm, residual, orthonormality = self.measure(pencil, 2 * k)
+        assert np.array_equal(values[0::2], values[1::2])
+        assert orthonormality <= 1e-12
+        assert residual <= 1e-13
+
+    def test_double_well_near_degenerate_pairs(self):
+        grid = Grid1D(-8.0, 8.0, 400)
+        pencil = coupled_pencil(grid, 0.05 * (grid.points**2 - 25.0) ** 2, 1.0)
+        values, norm, residual, orthonormality = self.measure(pencil, 8)
+        # The four lowest pairs tunnel through a barrier of 31.25: each pair
+        # is split by far less than rounding of |T|.
+        assert np.all(values[1:8:2] - values[0:8:2] <= 1e-13 * norm)
+        assert np.all(values[2:8:2] - values[1:7:2] > 1.0)
+        assert residual <= 1e-13
+        assert orthonormality <= 1e-12
+
+
 class TestAuxiliaryComponent:
     def test_stacked_eigenvector_nulls_pencil(self):
         pencil = box_pencil(20)
-        values, vectors = hermitian_eigen(eliminate_pencil(pencil))
+        values, vectors = eigen(pencil, 20)
         for k in (0, 3, 19):
             psi1 = vectors[:, k]
             stacked = np.concatenate([psi1, auxiliary_component(pencil, psi1)])
@@ -340,8 +399,7 @@ class TestAuxiliaryComponent:
 class TestRootDistance:
     def test_small_at_eigenvalues_large_between(self):
         pencil = box_pencil(30)
-        values, _ = hermitian_eigen(eliminate_pencil(pencil))
-        spectrum = np.asarray(values, dtype=float)
+        spectrum, _ = eigen(pencil)
         for value in spectrum:
             assert pencil_root_distance(pencil, float(value), spectrum) < PENCIL_SINGULARITY_GUARD
         for left, right in zip(spectrum[:-1], spectrum[1:]):
@@ -350,8 +408,7 @@ class TestRootDistance:
 
     def test_harmonic_oscillator_spectrum(self):
         pencil, _ = harmonic_pencil(80)
-        values, _ = hermitian_eigen(eliminate_pencil(pencil))
-        spectrum = np.asarray(values, dtype=float)
+        spectrum, _ = eigen(pencil)
         for value in spectrum[:10]:
             assert pencil_root_distance(pencil, float(value), spectrum) < PENCIL_SINGULARITY_GUARD
         mid = 0.5 * (spectrum[0] + spectrum[1])
@@ -362,8 +419,7 @@ class TestRootDistance:
         # and become numerically exact double eigenvalues; the cluster
         # handling must keep their root distance at rounding level.
         pencil, _ = harmonic_pencil(80)
-        values, _ = hermitian_eigen(eliminate_pencil(pencil))
-        spectrum = np.asarray(values, dtype=float)
+        spectrum, _ = eigen(pencil)
         assert np.any(np.diff(spectrum) == 0.0)
         for value in spectrum:
             assert pencil_root_distance(pencil, float(value), spectrum) < PENCIL_SINGULARITY_GUARD
