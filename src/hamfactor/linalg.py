@@ -247,11 +247,10 @@ def _inverse_iteration(diagonal, offdiagonal, values, rng: np.random.Generator) 
     row.  B is first scaled by a power of two to a 1-norm below 1.  For
     each value, B - value = L D L^T is factored without pivoting, and a
     pivot below eps in modulus is raised to eps, as ?stein perturbs small
-    pivots.  The first solve starts from L r with r random, so only D L^T
-    is solved (the first step of EISPACK tinvit); one refinement step then
-    solves with both factors.  Inside a cluster the iterate is
-    orthogonalized against the vectors already found before the
-    refinement solve and twice after it.  Every pass runs over Python
+    pivots.  Inverse iteration solves with both factors from a random
+    start, and one refinement step solves again.  Inside a cluster the
+    iterate is orthogonalized against the vectors already found before
+    each solve and twice after the last.  Every pass runs over Python
     floats, so a vector costs O(n) with no per-entry NumPy call.
     """
     norm = np.abs(diagonal)
@@ -269,11 +268,11 @@ def _inverse_iteration(diagonal, offdiagonal, values, rng: np.random.Generator) 
             first = row
         found = vectors[first:row]
         pivots = _ldl_pivots(d, e2, shift)
-        vector = _back_substitute(pivots, e, rng.uniform(-1.0, 1.0, len(d)).tolist())
-        if row > first:
-            vector = np.array(vector)
-            vector = (vector - (found @ vector) @ found).tolist()
-        vector = np.array(_back_substitute(pivots, e, _forward_substitute(pivots, e, vector)))
+        vector = rng.uniform(-1.0, 1.0, len(d))
+        for _ in range(2):  # inverse iteration, then one refinement step
+            if row > first:
+                vector -= (found @ vector) @ found
+            vector = np.array(_back_substitute(pivots, e, _forward_substitute(pivots, e, vector.tolist())))
         for _ in range(2 if row > first else 0):
             vector -= (found @ vector) @ found
         vectors[row] = vector / np.linalg.norm(vector)

@@ -332,6 +332,18 @@ class TestTridiagonalEigen:
         value_gap, residual, orthonormality = check_eigenpairs(diagonal, offdiagonal, 8)
         assert value_gap <= 1e-13 and residual <= 1e-13 and orthonormality <= 1e-12
 
+    def test_glued_wilkinson_and_graded_matrices(self, rng):
+        # Hard cases for inverse iteration: fourteen copies of W21+, whose
+        # pairs agree to many digits, glued by couplings of 1e-10; and
+        # entries graded over sixteen orders of magnitude.
+        wilkinson = np.abs(np.arange(21) - 10.0)
+        glue = np.ones(14 * 21 - 1)
+        glue[20::21] = 1e-10
+        graded = [rng.normal(size=size) * 10.0 ** rng.uniform(-8.0, 8.0, size) for size in (90, 89)]
+        for diagonal, offdiagonal in ((np.tile(wilkinson, 14), glue), graded):
+            value_gap, residual, orthonormality = check_eigenpairs(diagonal, offdiagonal, diagonal.size)
+            assert value_gap <= 1e-13 and residual <= 1e-13 and orthonormality <= 1e-12
+
     def test_extreme_scales(self):
         for scale in (1e-300, 1e300):
             diagonal = scale * np.array([2.0, 2.0, 2.0, 2.0])
