@@ -14,6 +14,7 @@ from hamfactor import (
     Grid1D,
     ZeemanSystem,
     bohr_energy,
+    center_of_mass_residual,
     decompose_masses,
     lamb_g_factor,
     larmor_frequency,
@@ -29,6 +30,9 @@ for name, m2 in (("hydrogen", 1836.15267), ("positronium", 1.0)):
     print(f"  Larmor mass     {masses.larmor_mass}")
     print(f"  omega_L         {larmor_frequency(system)}")
     print(f"  orbital g-value {lamb_g_factor(system)}")
+    # The same omega_L, read off the operator sum_k pi_k^2 / 2 m_k after the
+    # change to relative and center-of-mass variables.
+    print(f"  center-of-mass split residual {center_of_mass_residual(system):.1e}")
     print()
 
 # Each (n, l, m) level splits into two branches, shifted by

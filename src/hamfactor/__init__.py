@@ -66,11 +66,10 @@ from .zeeman import (
     MassDecomposition,
     ZeemanSystem,
     bohr_energy,
+    center_of_mass_residual,
     decompose_masses,
     lamb_g_factor,
     larmor_frequency,
-    momentum_transform_residual,
-    potential_split_residual,
     radial_eigenvalues,
     splitting_table,
 )
@@ -100,6 +99,7 @@ __all__ = [
     "auxiliary_component",
     "block_det_schur",
     "bohr_energy",
+    "center_of_mass_residual",
     "commutator_table",
     "coupled_pencil",
     "decompose_masses",
@@ -120,13 +120,11 @@ __all__ = [
     "logabsdet_lu",
     "logabsdet_tridiagonal",
     "momentum_matrix",
-    "momentum_transform_residual",
     "null_basis",
     "null_space",
     "null_vector_1d",
     "pauli",
     "pencil_root_distance",
-    "potential_split_residual",
     "product_identity_residual",
     "radial_eigenvalues",
     "random_polynomial",

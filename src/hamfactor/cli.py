@@ -47,6 +47,7 @@ import numpy as np
 
 from . import __version__
 from .extham import (
+    ParticleSpec,
     determinant_report,
     determinant_report_1d,
     factor_matrix,
@@ -60,6 +61,7 @@ from .linalg import (
     SingularBlockError,
     block_det_schur,
     det_lu,
+    relative_residual,
     schur_factor_check,
     tridiagonal_eigen,
     worse,
@@ -305,7 +307,7 @@ def _suite_schur_determinant(rng: np.random.Generator, trials: int, units: Units
 
 
 def _suite_schur_reconstruction(rng: np.random.Generator, trials: int, units: Units) -> float:
-    return _schur_suite(rng, trials, lambda matrix, split: schur_factor_check(matrix, split) / np.abs(matrix).max())
+    return _schur_suite(rng, trials, schur_factor_check)
 
 
 def _suite_null_spinor_residual(rng: np.random.Generator, trials: int, units: Units) -> float:
@@ -313,10 +315,8 @@ def _suite_null_spinor_residual(rng: np.random.Generator, trials: int, units: Un
     for trial in range(trials):
         sample = random_sample(rng, trial % 3 + 1, on_shell=True, light_speed=units.light_speed)
         matrix = factor_matrix(sample)
-        scale = np.linalg.norm(matrix)
         for vector in null_basis(sample):
-            residual = np.linalg.norm(matrix @ vector) / (scale * np.linalg.norm(vector))
-            worst = worse(worst, float(residual))
+            worst = worse(worst, relative_residual(matrix @ vector, np.abs(matrix) @ np.abs(vector)))
     return worst
 
 
@@ -346,8 +346,6 @@ def _suite_spin_product(rng: np.random.Generator, trials: int, units: Units) -> 
 
 
 def _suite_kinetic_square(rng: np.random.Generator, trials: int, units: Units) -> float:
-    from .extham import ParticleSpec
-
     worst = 0.0
     for _ in range(trials):
         field = FieldConfig(tuple(rng.normal(size=3)))
@@ -370,17 +368,22 @@ VERIFY_SUITES: tuple[tuple[str, int, SuiteRunner], ...] = (
 
 
 def _check_verify_units(units: Units) -> None:
-    """Reject a unit system whose (q/c)^2 or hbar^2 overflows, before any draw.
+    """Reject a unit system whose draws would overflow, before any draw.
 
-    The suites square both the coupling q/c of the vector potential and
-    hbar; an overflow would otherwise surface only as NumPy warnings and
-    non-finite matrix entries deep inside a draw.
+    The suites square hbar and q/c.  The determinant identity raises the
+    energy defect to the power 2^N <= 8; its draws take |q| <= 1.5, masses
+    >= 0.4 and standard normal momenta, potentials and energies, which
+    pass 10 in modulus with probability 1.5e-23.  So the defect stays below
+    20 plus 3 x 3 squares of 10 (1 + 1.5/c) over 2 x 0.4, whose 8th power
+    must be finite.
     """
     coupling = units.charge / units.light_speed
-    if not math.isfinite(coupling * coupling):
+    component = 10.0 * (1.0 + 1.5 / units.light_speed)
+    defect = 20.0 + 11.25 * component * component
+    if not (math.isfinite(coupling * coupling) and math.isfinite(math.prod([defect] * 8))):
         raise ConfigError(
             f"units.light_speed = {units.light_speed!r} with units.charge = {units.charge!r} "
-            f"makes (q/c)^2 not finite"
+            f"makes (q/c)^2 or the 8th power of the draws' energy defect not finite"
         )
     if not math.isfinite(units.hbar * units.hbar):
         raise ConfigError(f"units.hbar = {units.hbar!r} makes hbar^2 not finite")

@@ -22,7 +22,6 @@ from .spin import MAX_SITES, spin_dot
 from .units import SPEED_OF_LIGHT
 
 DEFAULT_SHELL_TOL = 1e-9
-MAX_PARTICLES = MAX_SITES
 REL_ERR_FLOOR = 1e-6
 
 
@@ -179,8 +178,8 @@ def factor_matrix(s: SystemSample) -> np.ndarray:
     energy defect raised to the spinor dimension 2^N.
     """
     n = s.n
-    if n > MAX_PARTICLES:
-        raise ValueError(f"particle count {n} exceeds configured maximum {MAX_PARTICLES}")
+    if n > MAX_SITES:
+        raise ValueError(f"particle count {n} exceeds configured maximum {MAX_SITES}")
     d = 2**n
     size = d * (n + 1)
     g = np.zeros((size, size), dtype=np.complex128)
@@ -249,9 +248,9 @@ def determinant_report_1d(
     det_direct = linalg.det_lu(g)
     det_schur = linalg.block_det_schur(g, 1)
     target = energy_defect_1d(s)
-    gap = linalg.worse(abs(det_direct - target), abs(det_schur - target))
     scale = abs(s.energy - s.potential) + s.momentum**2 / (2.0 * s.mass)
-    return FactorizationReport(det_direct, det_schur, target, 1, gap / scale if scale else gap)
+    err = linalg.relative_residual([det_direct - target, det_schur - target], scale)
+    return FactorizationReport(det_direct, det_schur, target, 1, err)
 
 
 def null_basis(s: SystemSample, tol: float = DEFAULT_SHELL_TOL) -> list[np.ndarray]:

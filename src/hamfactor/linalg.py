@@ -8,7 +8,7 @@ elimination for real symmetric log-determinants, and a Hermitian
 eigensolver that takes every eigenvalue from LAPACK's values-only path
 and computes each requested eigenvector in O(n) by inverse iteration.
 ``worse`` is the NaN-keeping maximum that every residual in the package
-folds with.
+folds with; ``relative_residual`` scales a gap by the terms behind it.
 """
 
 from __future__ import annotations
@@ -54,6 +54,17 @@ def worse(worst: float, residual: float) -> float:
     ``max`` keeps its first argument when the second is NaN).
     """
     return residual if residual > worst or math.isnan(residual) else worst
+
+
+def relative_residual(gap, scale) -> float:
+    """Largest |gap| / scale entry by entry, with ``scale`` the moduli of the terms behind each entry.
+
+    This backward error is a relative rounding error at any magnitude.
+    Where the scale is 0 the gap is taken as it is; a NaN keeps the result NaN.
+    """
+    gap = np.abs(np.asarray(gap))
+    scale = np.asarray(scale, dtype=float)
+    return float(np.max(np.divide(gap, scale, out=gap.copy(), where=scale != 0.0)))
 
 
 def _lu_pivots(m):
@@ -344,27 +355,23 @@ def block_det_schur(m, k: int, cond_limit: float = CONDITION_LIMIT) -> complex:
 
 
 def schur_factor_check(m, k: int, cond_limit: float = CONDITION_LIMIT) -> float:
-    """Max-abs residual of the three-factor block identity.
+    """Relative residual of the three-factor block identity.
 
     Reconstructs ``U diag(A - B D^-1 C, D) L`` with U unit upper block
     triangular (corner B D^-1) and L unit lower block triangular (corner
-    D^-1 C), and returns ``max|M - U S L|``.
+    D^-1 C), and returns ``max|M - U S L|`` divided entry by entry by
+    ``|U| |S| |L|``, the moduli of the terms the product sums.  The
+    corners grow with the conditioning of D, so a bound relative to
+    ``max|M|`` would read their rounding as a failure.
     """
     m = as_complex_matrix(m)
     a, b, c, d = _split_blocks(m, k)
     d_inv = _inverse_checked(d, cond_limit)
-    n = m.shape[0]
-    comp = a - b @ d_inv @ c
-
-    upper = np.eye(n, dtype=np.complex128)
-    upper[:k, k:] = b @ d_inv
-    lower = np.eye(n, dtype=np.complex128)
-    lower[k:, :k] = d_inv @ c
-    middle = np.zeros((n, n), dtype=np.complex128)
-    middle[:k, :k] = comp
-    middle[k:, k:] = d
-
-    return float(np.abs(m - upper @ middle @ lower).max())
+    eye, zero = np.eye(k), np.zeros((k, len(d)))
+    upper = np.block([[eye, b @ d_inv], [zero.T, np.eye(len(d))]])
+    middle = np.block([[a - b @ d_inv @ c, zero], [zero.T, d]])
+    lower = np.block([[eye, zero], [d_inv @ c, np.eye(len(d))]])
+    return relative_residual(m - upper @ middle @ lower, np.abs(upper) @ np.abs(middle) @ np.abs(lower))
 
 
 def null_space(m, tol: float = NULL_SPACE_TOL) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import logabsdet_tridiagonal, worse
+from .linalg import logabsdet_tridiagonal, relative_residual
 from .polynomials import Polynomial, weyl_product
 from .spin import embed_spin, spin_dot
 from .units import ATOMIC, Units
@@ -295,25 +295,29 @@ class FieldConfig:
         return Polynomial(nvars, data)
 
 
-def _particle_terms(field: FieldConfig, spec, particle: int, nparticles: int, units: Units, weight: float):
-    """Operands of one particle's Pauli identity over the 6N operator variables.
+def _kinetic_momenta(field: FieldConfig, charge: float, particle: int, nparticles: int, units: Units):
+    """[pi_0, pi_1, pi_2], pi_a = (hbar/i) d_a - (q/c) A_a(x), of one particle over the 6N operator variables.
 
-    Returns (weight, [pi_0, pi_1, pi_2], [sigma_1, sigma_2, sigma_3], S)
-    with pi_a = (hbar/i) d_a - (q/c) A_a(x) and S = -(hbar q / c) sigma . B.
     The coordinates are the first 3N of the 6N variables, the slots of
     particles 1..N among 2N, so ``potential_polynomial`` over 2N particles
     places A on them.
     """
-    sigmas = [embed_spin(axis, particle, nparticles) for axis in (1, 2, 3)]
-    nvars = 6 * nparticles
-    coupling = spec.charge / units.light_speed
-    momenta = [
-        Polynomial.variable(nvars, 3 * (nparticles + particle - 1) + axis) * (units.hbar / 1j)
-        - field.potential_polynomial(axis, particle, 2 * nparticles) * coupling
+    return [
+        Polynomial.variable(6 * nparticles, 3 * (nparticles + particle - 1) + axis) * (units.hbar / 1j)
+        - field.potential_polynomial(axis, particle, 2 * nparticles) * (charge / units.light_speed)
         for axis in range(3)
     ]
-    spin = spin_dot(field.b, particle, nparticles) * (-units.hbar * coupling)
-    return weight, momenta, sigmas, spin
+
+
+def _particle_terms(field: FieldConfig, spec, particle: int, nparticles: int, units: Units, weight: float):
+    """Operands of one particle's Pauli identity over the 6N operator variables.
+
+    Returns (weight, [pi_0, pi_1, pi_2], [sigma_1, sigma_2, sigma_3], S)
+    with the ``_kinetic_momenta`` pi_a and S = -(hbar q / c) sigma . B.
+    """
+    sigmas = [embed_spin(axis, particle, nparticles) for axis in (1, 2, 3)]
+    spin = spin_dot(field.b, particle, nparticles) * (-units.hbar * (spec.charge / units.light_speed))
+    return weight, _kinetic_momenta(field, spec.charge, particle, nparticles, units), sigmas, spin
 
 
 def _pauli_sides(terms, potential: Polynomial | None, nparticles: int):
@@ -371,13 +375,13 @@ def _pauli_residual(terms, potential: Polynomial | None, nparticles: int) -> flo
         moduli, None if potential is None else _magnitude(potential), nparticles
     )
     zero = Polynomial(6 * nparticles)
-    worst = 0.0
+    gaps, scales = [], []
     for key in lhs_size.keys() | rhs_size.keys():
         gap = lhs.get(key, zero) - rhs.get(key, zero)
         scale = lhs_size.get(key, zero) + rhs_size.get(key, zero)
-        for exps, size in scale.coeffs.items():
-            worst = worse(worst, abs(gap.coeffs.get(exps, 0.0)) / size.real)
-    return worst
+        gaps += [gap.coeffs.get(exps, 0.0) for exps in scale.coeffs]
+        scales += [size.real for size in scale.coeffs.values()]
+    return relative_residual(gaps, scales)
 
 
 def kinetic_square_residual(

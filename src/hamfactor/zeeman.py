@@ -1,12 +1,14 @@
 """Two-particle weak-field Zeeman analysis in center-of-mass coordinates.
 
-The system is a bound pair of opposite unit charges (the lighter particle
-carries -e, the heavier +e) in a uniform field B along z with the
-symmetric gauge.  The orbital coupling is governed by a modified Larmor
-frequency proportional to 1/m1 - 1/m2, so it vanishes identically for
-equal masses and reduces to the classic single-particle result when one
-mass dominates.  Each unperturbed level splits into two branches shifted
-by hbar * omega_L * (m + 1) and hbar * omega_L * (m - 1).
+The system is a bound pair of opposite unit charges, -e on particle 1 and
++e on particle 2, in a uniform field B along z with the symmetric gauge;
+the nuclear charge z enters only the Coulomb term.  The orbital coupling
+is governed by a modified Larmor frequency proportional to 1/m1 - 1/m2,
+which ``center_of_mass_residual`` derives from the two-body operator: it
+vanishes identically for equal masses and reduces to the classic
+single-particle result when one mass dominates.  Each unperturbed level
+splits into two branches shifted by hbar * omega_L * (m + 1) and
+hbar * omega_L * (m - 1).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import tridiagonal_eigen, worse
-from .polynomials import Polynomial
-from .quantize import FieldConfig, Grid1D, coupled_pencil, eliminate_pencil
+from .linalg import relative_residual, tridiagonal_eigen
+from .polynomials import Polynomial, weyl_product
+from .quantize import FieldConfig, Grid1D, _kinetic_momenta, _magnitude, coupled_pencil, eliminate_pencil
 from .units import ATOMIC, Units
 
 
@@ -29,6 +31,8 @@ class ZeemanSystem:
     By convention particle 1 is the lighter, negative charge; passing
     swapped masses simply evaluates the same formulas with the charge
     assignment held fixed, which flips the sign of the Larmor frequency.
+    The model keeps the unit charges -e and +e in the orbital coupling:
+    ``z`` scales only the Coulomb attraction -z e^2 / r.
     """
 
     m1: float
@@ -174,75 +178,58 @@ def radial_eigenvalues(
     return tridiagonal_eigen(*eliminate_pencil(coupled_pencil(grid, v, mu, units.hbar)), 0)[0]
 
 
-# Coordinate layout for the polynomial checks: lab variables are
-# (x1, y1, z1, x2, y2, z2); relative variables are (rx, ry, rz, RX, RY, RZ)
-# with r = r1 - r2 and R = mu1 r1 + mu2 r2.
-
-
 def _lab_to_rel(mu1: float, mu2: float) -> np.ndarray:
-    """Rows express each lab variable over the relative variables."""
-    forms = np.zeros((6, 6))
-    for a in range(3):
-        forms[a, a] = mu2  # r1 = R + mu2 r
-        forms[a, 3 + a] = 1.0
-        forms[3 + a, a] = -mu1  # r2 = R - mu1 r
-        forms[3 + a, 3 + a] = 1.0
-    return forms
+    """F: rows express r1 = R + mu2 r and r2 = R - mu1 r over the relative variables."""
+    return np.kron([[mu2, 1.0], [-mu1, 1.0]], np.eye(3))
 
 
 def _rel_to_lab(mu1: float, mu2: float) -> np.ndarray:
-    """Rows express each relative variable over the lab variables."""
-    forms = np.zeros((6, 6))
-    for a in range(3):
-        forms[a, a] = 1.0  # r = r1 - r2
-        forms[a, 3 + a] = -1.0
-        forms[3 + a, a] = mu1  # R = mu1 r1 + mu2 r2
-        forms[3 + a, 3 + a] = mu2
-    return forms
+    """F^-1: rows express r = r1 - r2 and R = mu1 r1 + mu2 r2 over the lab variables."""
+    return np.kron([[1.0, -1.0], [mu1, mu2]], np.eye(3))
 
 
-def momentum_transform_residual(m1: float, m2: float, test: Polynomial, hbar: float = 1.0) -> float:
-    """Chain-rule check of the two-body momentum split.
+def _center_of_mass_operator(system: ZeemanSystem, moduli: bool) -> Polynomial:
+    """sum_k pi_k^2 / 2 m_k, charges -e and +e, over (x, y, z, X, Y, Z) and their derivatives.
 
-    ``test`` is a polynomial in the six lab coordinates.  Each particle
-    momentum must match its relative/center-of-mass combination
-    (p1 = p_r + mu1 P_R, p2 = -p_r + mu2 P_R) after exact substitution of
-    the coordinate change; the result is the largest coefficient gap over
-    both particles and all three axes.
+    r = r1 - r2 and R = mu1 r1 + mu2 r2.  Each pi_k is squared with
+    ``weyl_product`` over the lab variables; one ``substitute_linear``
+    moves the coordinates by F and the derivatives by F^-T, which keeps
+    normal order.  ``moduli`` replaces every operand and form by its
+    modulus, so each coefficient becomes the sum of the moduli of its terms.
     """
-    if test.nvars != 6:
-        raise ValueError(f"test polynomial must use 6 lab variables, got {test.nvars}")
-    total = m1 + m2
-    mu1, mu2 = m1 / total, m2 / total
-    rel = test.substitute_linear(_lab_to_rel(mu1, mu2))
-    back = _rel_to_lab(mu1, mu2)
-    factor = hbar / 1j
-    worst = 0.0
-    for axis in range(3):
-        for particle, sign, weight in ((1, 1.0, mu1), (2, -1.0, mu2)):
-            var = axis if particle == 1 else 3 + axis
-            direct = test.diff(var) * factor
-            combined = (rel.diff(axis) * sign + rel.diff(3 + axis) * weight) * factor
-            worst = worse(worst, direct.max_coeff_diff(combined.substitute_linear(back)))
-    return worst
+    masses = decompose_masses(system)
+    forms = np.zeros((12, 12))
+    forms[:6, :6] = _lab_to_rel(masses.mu1, masses.mu2)
+    forms[6:, 6:] = _rel_to_lab(masses.mu1, masses.mu2).T
+    field, e = FieldConfig((0.0, 0.0, system.b)), system.units.charge
+    operator = Polynomial(12)
+    for particle, mass, charge in ((1, system.m1, -e), (2, system.m2, e)):
+        for pi in _kinetic_momenta(field, charge, particle, 2, system.units):
+            pi = _magnitude(pi) if moduli else pi
+            operator = operator + weyl_product(pi, pi) * (1.0 / (2.0 * mass))
+    return operator.substitute_linear(np.abs(forms) if moduli else forms)
 
 
-def potential_split_residual(m1: float, m2: float, b: float) -> float:
-    """Exactness of the center-of-mass split of the gauge potential.
+def center_of_mass_residual(system: ZeemanSystem) -> float:
+    """Relative gap between the derived two-body operator and its center-of-mass closed forms.
 
-    Substituting r1 = R + mu2 r and r2 = R - mu1 r into A(r_k) must give
-    A(R) + mu2 A(r) and A(R) - mu1 A(r) respectively; all maps are linear
-    so the comparison happens on 3x6 coefficient matrices.  A is the
-    symmetric gauge (B x r)/2 of a field b along z.
+    The operator must carry -hbar^2/2mu on each d_r^2, -hbar^2/2M on each
+    d_R^2 and no mixed second derivative; -i hbar omega_L on x d_y and
+    +i hbar omega_L on y d_x, that is ``larmor_frequency`` times the
+    relative L_z; and no center-of-mass L_z.  Each gap is divided by the
+    moduli of the terms that produce it, so the residual is a relative
+    rounding error in any unit system, and NaN if a coefficient overflows.
     """
-    total = m1 + m2
-    mu1, mu2 = m1 / total, m2 / total
-    gauge = FieldConfig((0.0, 0.0, b)).coeffs
-    # Columns ordered (rx, ry, rz, RX, RY, RZ).
-    sub1 = np.hstack([mu2 * np.eye(3), np.eye(3)])
-    sub2 = np.hstack([-mu1 * np.eye(3), np.eye(3)])
-    direct1 = gauge @ sub1
-    direct2 = gauge @ sub2
-    split1 = np.hstack([mu2 * gauge, gauge])
-    split2 = np.hstack([-mu1 * gauge, gauge])
-    return float(worse(np.abs(direct1 - split1).max(), np.abs(direct2 - split2).max()))
+    operator, moduli = (_center_of_mass_operator(system, flag) for flag in (False, True))
+    masses, hbar = decompose_masses(system), system.units.hbar
+    rotation = 1j * hbar * larmor_frequency(system)
+    # Coefficients by the variable slots of their monomial: x, y = 0, 1; X, Y = 3, 4; d_v = 6 + v.
+    slots = {(0, 7): -rotation, (1, 6): rotation, (3, 10): 0.0, (4, 9): 0.0}
+    slots |= {(6 + a, 6 + a): -hbar * hbar / (2.0 * masses.reduced) for a in range(3)}
+    slots |= {(9 + a, 9 + a): -hbar * hbar / (2.0 * masses.total) for a in range(3)}
+    expected = {exps: 0.0 for exps in moduli.coeffs if not any(exps[:6]) and sum(exps) == 2}
+    expected |= {tuple(pair.count(i) for i in range(12)): value for pair, value in slots.items()}
+    return relative_residual(
+        [operator.coeffs.get(exps, 0.0) - value for exps, value in expected.items()],
+        [moduli.coeffs.get(exps, 0.0).real for exps in expected],
+    )

@@ -19,8 +19,10 @@ from hamfactor import (
     FieldConfig,
     Grid1D,
     ParticleSpec,
+    Units,
     ZeemanSystem,
     block_det_schur,
+    center_of_mass_residual,
     commutator_table,
     coupled_pencil,
     decompose_masses,
@@ -34,11 +36,9 @@ from hamfactor import (
     kinetic_square_residual,
     lamb_g_factor,
     larmor_frequency,
-    momentum_transform_residual,
     null_basis,
     null_vector_1d,
     pencil_root_distance,
-    potential_split_residual,
     product_identity_residual,
     radial_eigenvalues,
     random_polynomial,
@@ -131,9 +131,7 @@ def test_criterion_04_block_determinant_lemma():
         size = 4 + trial % 9
         matrix = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         split = 1 + trial % (size - 1)
-        worst_recon = worse(
-            worst_recon, schur_factor_check(matrix, split) / float(np.abs(matrix).max())
-        )
+        worst_recon = worse(worst_recon, schur_factor_check(matrix, split))
         direct = det_lu(matrix)
         blocked = block_det_schur(matrix, split)
         worst_det = worse(worst_det, abs(blocked - direct) / max(abs(direct), 1e-6))
@@ -141,7 +139,7 @@ def test_criterion_04_block_determinant_lemma():
     assert verdict(
         4,
         ok,
-        f"reconstruction {worst_recon:.3e} (<=1e-11 of max|M|), det gap {worst_det:.3e} (<=1e-10)",
+        f"reconstruction {worst_recon:.3e} (<=1e-11 of |U||S||L|), det gap {worst_det:.3e} (<=1e-10)",
     )
 
 
@@ -304,17 +302,24 @@ def test_criterion_08_zeeman_analysis():
 
 
 def test_criterion_09_center_of_mass_identities():
-    """Momentum and gauge-potential splits hold exactly over random masses."""
+    """The two-body operator splits into center-of-mass and relative parts over random masses."""
     rng = np.random.default_rng(109)
-    worst = 0.0
+    systems = [
+        ZeemanSystem(m1=1.0, m2=1836.15267, b=1.0),
+        ZeemanSystem(m1=1.0, m2=3670.48296, b=1.0),
+        ZeemanSystem(m1=5.0, m2=1.0, b=-0.7, z=2.0, units=Units(hbar=2.5, charge=0.3, light_speed=10.0)),
+    ]
     for _ in range(30):
         m1 = float(rng.uniform(0.4, 2000.0))
         m2 = float(rng.uniform(0.4, 2000.0))
-        poly = random_polynomial(rng, 6, 3, 6)
-        worst = worse(worst, momentum_transform_residual(m1, m2, poly))
-        worst = worse(worst, potential_split_residual(m1, m2, float(rng.uniform(-5.0, 5.0))))
+        systems.append(ZeemanSystem(m1=m1, m2=m2, b=float(rng.uniform(-5.0, 5.0))))
+    worst = 0.0
+    for system in systems:
+        worst = worse(worst, center_of_mass_residual(system))
     ok = worst <= 1e-12
-    assert verdict(9, ok, f"worst split residual {worst:.3e} (<=1e-12) over 30 mass pairs")
+    assert verdict(
+        9, ok, f"worst center-of-mass residual {worst:.3e} (<=1e-12) over 3 named systems and 30 mass pairs"
+    )
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hamfactor import FieldConfig, ParticleSpec, Units, cli, quantize
+from hamfactor import FieldConfig, ParticleSpec, Units, cli, linalg, quantize
 from hamfactor.cli import DEFAULT_TOLERANCES, MAX_WORKING_BYTES, main, solve1d_bytes, zeeman_bytes
 from hamfactor.linalg import SingularBlockError, logabsdet_tridiagonal
 
@@ -163,30 +163,77 @@ class TestVerify:
         checks = {check["name"]: check for check in json.loads(out.read_text(encoding="utf-8"))["checks"]}
         assert checks["factorization_1d"]["max_error"] < 1e-15
 
+    @staticmethod
+    def suite(name, seed, trials, units):
+        """One verify suite's max error, drawn from its own stream of ``seed``."""
+        stream, runner = {check: (stream_id, runner) for check, stream_id, runner in cli.VERIFY_SUITES}[name]
+        return runner(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,))), trials, units)
+
     def test_kinetic_square_in_any_units(self):
         # Gaps are relative to the terms that produce them, so the check
         # reads the same in every unit system, and still fails for a
         # wrong sign of sigma . B.  The default-units value is exactly 0;
         # "within 10x" is read against one unit roundoff there.
-        stream = {name: stream_id for name, stream_id, _ in cli.VERIFY_SUITES}["kinetic_square"]
-
-        def suite(units):
-            rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(stream,)))
-            return cli._suite_kinetic_square(rng, 20, units)
-
         tolerance = DEFAULT_TOLERANCES["kinetic_square"]
-        base = suite(Units())
+        base = self.suite("kinetic_square", 42, 20, Units())
         assert base < tolerance
         electron = ParticleSpec(1.0, -1.0)
         for hbar in (1e-10, 1.0, 1e10):
             for light_speed in (1e-10, 1.0, 1e10):
                 units = Units(hbar=hbar, light_speed=light_speed)
-                value = suite(units)
+                value = self.suite("kinetic_square", 42, 20, units)
                 assert value < tolerance
                 assert value <= 10 * max(base, np.finfo(float).eps)
                 field = FieldConfig((0.3, -1.1, 0.8))
                 object.__setattr__(field, "b", tuple(-x for x in field.b))
                 assert quantize.kinetic_square_residual(field, electron, units=units) > 100 * tolerance
+
+    @pytest.mark.parametrize("name", ["schur_reconstruction", "null_spinor_residual"])
+    def test_rescaled_checks_in_any_units(self, name):
+        # Gaps are divided entry by entry by the moduli of the terms that
+        # produce them, so each check reads the same in every unit system,
+        # within 10x either way (null_spinor_residual read 2.5e-25 at
+        # light_speed = 1e-10 while it was divided by |G| |v|).
+        tolerance = DEFAULT_TOLERANCES[name]
+        base = self.suite(name, 42, 20, Units())
+        assert base < tolerance
+        for hbar in (1e-10, 1.0, 1e10):
+            for light_speed in (1e-10, 1.0, 1e10):
+                value = self.suite(name, 42, 20, Units(hbar=hbar, light_speed=light_speed))
+                assert value < tolerance
+                assert base / 10 <= value <= 10 * base
+
+    @pytest.mark.parametrize("seed, trials", [(1282, 20), (147, 100)])
+    def test_schur_reconstruction_passes_at_seeds_with_large_corners(self, seed, trials):
+        # These draws have B D^-1 or D^-1 C far above max|M|; divided by
+        # max|M| they read 1.02e-10 and 1.42e-11 against the 1e-11 tolerance.
+        assert self.suite("schur_reconstruction", seed, trials, Units()) < 1e-14
+
+    def test_perturbed_schur_factor_fails_its_check(self, monkeypatch):
+        tolerance = DEFAULT_TOLERANCES["schur_reconstruction"]
+        real = linalg._inverse_checked
+        monkeypatch.setattr(linalg, "_inverse_checked", lambda d, limit: real(d, limit) * (1.0 + 100 * tolerance))
+        assert self.suite("schur_reconstruction", 42, 20, Units()) > 10 * tolerance
+
+    @pytest.mark.parametrize("light_speed", [1e-10, 1.0, 1e10])
+    def test_perturbed_null_spinor_fails_its_check(self, monkeypatch, light_speed):
+        # Each null vector's leading entry off by 100x the tolerance, relative.
+        tolerance = DEFAULT_TOLERANCES["null_spinor_residual"]
+        real = cli.null_basis
+
+        def perturbed(sample):
+            basis = real(sample)
+            for index, vector in enumerate(basis):
+                vector[index] *= 1.0 + 100 * tolerance
+            return basis
+
+        monkeypatch.setattr(cli, "null_basis", perturbed)
+        assert self.suite("null_spinor_residual", 42, 20, Units(light_speed=light_speed)) > 10 * tolerance
+
+    def test_small_light_speed_still_runs(self, tmp_path):
+        config = write_config(tmp_path, {"units": {"light_speed": 1e-10}})
+        out = tmp_path / "report.json"
+        assert run("verify", "--trials", 6, "--config", config, "--output", out) == 0
 
 
 class TestVerifyConfigErrors:
@@ -553,6 +600,8 @@ class TestArgumentHandling:
             ("verify", {"units": {"light_speed": 1e-300}}, "units.light_speed = 1e-300"),
             ("verify", {"units": {"charge": 1e200}}, "units.charge = 1e+200"),
             ("verify", {"units": {"hbar": 1e200}}, "units.hbar = 1e+200"),
+            # (q/c)^2 is finite here, but the 8th power of the draws' energy defect is not.
+            ("verify", {"units": {"light_speed": 1e-150}}, "units.light_speed = 1e-150"),
         ],
     )
     def test_rejected_values_exit_2_without_report(self, tmp_path, capsys, command, config, fragment):

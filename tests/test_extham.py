@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hamfactor.extham import (
-    MAX_PARTICLES,
     OffShellError,
     ParticleSpec,
     Sample1D,
@@ -23,7 +22,7 @@ from hamfactor.extham import (
     random_sample,
     random_sample_1d,
 )
-from hamfactor import linalg
+from hamfactor import extham, linalg
 from hamfactor.linalg import det_lu
 from hamfactor.spin import MAX_SITES
 
@@ -194,12 +193,15 @@ class TestFactorMatrix:
                 assert residual <= 1e-12 * max(np.abs(block).max() ** 2, 1e-6)
 
     def test_particle_count_guard(self, rng):
-        s = random_sample(rng, MAX_PARTICLES + 1)
+        s = random_sample(rng, MAX_SITES + 1)
         with pytest.raises(ValueError, match="exceeds"):
             factor_matrix(s)
 
-    def test_particle_limit_is_the_spin_site_limit(self):
-        assert MAX_PARTICLES == MAX_SITES == 4
+    def test_particle_limit_is_the_spin_site_limit(self, rng):
+        # One home for the limit: factor_matrix reads the spin module's.
+        assert not hasattr(extham, "MAX_PARTICLES")
+        assert extham.MAX_SITES is MAX_SITES == 4
+        assert factor_matrix(random_sample(rng, MAX_SITES)).shape == (80, 80)
 
 
 class TestDeterminantIdentity:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hamfactor import linalg
 from hamfactor.linalg import (
     SingularBlockError,
     as_complex_matrix,
@@ -13,6 +14,7 @@ from hamfactor.linalg import (
     logabsdet_lu,
     logabsdet_tridiagonal,
     null_space,
+    relative_residual,
     schur_factor_check,
     tridiagonal_eigen,
     worse,
@@ -210,17 +212,52 @@ class TestBlockDetSchur:
 
 
 class TestSchurFactorCheck:
+    # The residual is max|M - U S L| divided entry by entry by |U||S||L|.
+    TOLERANCE = 1e-11
+
     def test_reconstruction_residual_small(self, rng):
         for _ in range(40):
             size = int(rng.integers(4, 13))
             split = int(rng.integers(1, size))
             m = random_complex(rng, size)
             residual = schur_factor_check(m, split)
-            assert residual <= 1e-11 * np.abs(m).max()
+            assert residual <= self.TOLERANCE
 
     def test_exact_on_block_triangular_input(self):
         m = np.array([[2.0, 0.0], [3.0, 4.0]], dtype=complex)
         assert schur_factor_check(m, 1) <= 1e-15
+
+    def test_large_corners_stay_at_rounding_level(self):
+        # D = rank one + 1e-4 I (condition 4.5e4) makes B D^-1 and D^-1 C
+        # large, so U S L sums terms far above max|M|.  The gap read against
+        # max|M| is 1e-8; against the moduli of those terms it is rounding.
+        rng = np.random.default_rng(5)
+        m = random_complex(rng, 5)
+        m[2:, 2:] = np.outer(rng.normal(size=3), rng.normal(size=3)) + 1e-4 * np.eye(3)
+        assert schur_factor_check(m, 2) <= 1e-15
+
+    def test_perturbed_factor_fails(self, rng, monkeypatch):
+        # D^-1 off by 100x the tolerance, relative: every factorization fails.
+        real = linalg._inverse_checked
+        monkeypatch.setattr(linalg, "_inverse_checked", lambda d, limit: real(d, limit) * (1.0 + 100 * self.TOLERANCE))
+        for size in (4, 6, 9, 12):
+            m = random_complex(rng, size)
+            for split in range(1, size):
+                assert schur_factor_check(m, split) > 10 * self.TOLERANCE
+
+
+class TestRelativeResidual:
+    def test_entrywise_ratio(self):
+        assert relative_residual([3.0, -1.0j], [4.0, 0.5]) == 2.0
+
+    def test_zero_scale_reports_the_gap(self):
+        assert relative_residual([0.0, 1e-300], [0.0, 0.0]) == 1e-300
+
+    def test_nan_stays(self):
+        assert math.isnan(relative_residual([1.0, math.nan], [1.0, 1.0]))
+        assert math.isnan(relative_residual([1.0, 1.0], [1.0, math.nan]))
+        with pytest.warns(RuntimeWarning, match="invalid"):
+            assert math.isnan(relative_residual([math.inf, 1.0], [math.inf, 1.0]))
 
 
 class TestNullSpace:

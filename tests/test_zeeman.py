@@ -14,17 +14,14 @@ from hypothesis import strategies as st
 
 from hamfactor import (
     Grid1D,
-    Polynomial,
     Units,
     ZeemanSystem,
     bohr_energy,
+    center_of_mass_residual,
     decompose_masses,
     lamb_g_factor,
     larmor_frequency,
-    momentum_transform_residual,
-    potential_split_residual,
     radial_eigenvalues,
-    random_polynomial,
     splitting_table,
     zeeman,
 )
@@ -46,6 +43,13 @@ def hydrogen(b=1.0):
 
 def positronium(b=1.0):
     return ZeemanSystem(m1=1.0, m2=1.0, b=b)
+
+
+def hydrogen_in(units):
+    return ZeemanSystem(m1=1.0, m2=PROTON_ELECTRON_RATIO, b=1.0, units=units)
+
+
+CUSTOM_UNITS = Units(hbar=2.5, charge=0.3, light_speed=10.0)
 
 
 class TestZeemanSystem:
@@ -321,41 +325,90 @@ class TestRadialEigenvalues:
             radial_eigenvalues(0, 0.0, 1.0, Grid1D(0.0, 10.0, 100))
 
 
-class TestCenterOfMassIdentities:
-    def test_momentum_split_on_simple_monomial(self):
-        # x1^2 y2 exercises both particles' coordinates at once.
-        poly = Polynomial(6, {(2, 0, 0, 0, 1, 0): 1.0})
-        assert momentum_transform_residual(1.0, PROTON_ELECTRON_RATIO, poly) <= 1e-12
+def lz_coefficient(system):
+    """Coefficient of x d_y in the derived operator over relative variables."""
+    exps = (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
+    return zeeman._center_of_mass_operator(system, False).coeffs.get(exps, 0.0)
 
-    def test_momentum_split_on_random_polynomials(self, rng):
-        for _ in range(5):
-            poly = random_polynomial(rng, 6, 3, 6)
-            assert momentum_transform_residual(0.8, 1836.0, poly) <= 1e-12
+
+class TestCenterOfMassIdentities:
+    """The operator sum_k pi_k^2 / 2 m_k, moved to relative and center-of-mass variables."""
+
+    TOLERANCE = 1e-12
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(mass_strategy, mass_strategy)
     def test_momentum_split_over_mass_pairs(self, m1, m2):
-        poly = Polynomial(6, {(1, 1, 0, 0, 0, 1): 2.0, (0, 0, 2, 1, 0, 0): -0.5})
-        assert momentum_transform_residual(m1, m2, poly) <= 1e-12
-
-    def test_momentum_split_arity_validated(self):
-        with pytest.raises(ValueError, match="6"):
-            momentum_transform_residual(1.0, 2.0, Polynomial(3, {(1, 0, 0): 1.0}))
-
-    def test_momentum_split_keeps_a_nan_gap(self):
-        # Only the z2 derivative sees the NaN coefficient; the fold starts
-        # at 0.0, where plain max dropped every NaN.
-        poly = Polynomial(6, {(1, 0, 0, 0, 0, 0): 1.0, (0, 0, 0, 0, 0, 1): math.nan})
-        assert math.isnan(momentum_transform_residual(1.0, 2.0, poly))
-
-    def test_potential_split_keeps_a_nan_gap(self):
-        # An infinite m1 makes mu1 NaN, which reaches only the second map.
-        assert math.isnan(potential_split_residual(math.inf, 1.0, 1.0))
-
-    def test_potential_split_exact(self):
-        assert potential_split_residual(1.0, PROTON_ELECTRON_RATIO, 1.0) <= 1e-15
+        assert center_of_mass_residual(ZeemanSystem(m1=m1, m2=m2, b=1.0)) <= self.TOLERANCE
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(mass_strategy, mass_strategy, st.floats(min_value=-10, max_value=10))
     def test_potential_split_over_mass_pairs(self, m1, m2, b):
-        assert potential_split_residual(m1, m2, b) <= 1e-14 * max(abs(b), 1.0)
+        assert center_of_mass_residual(ZeemanSystem(m1=m1, m2=m2, b=b)) <= self.TOLERANCE
+
+    @pytest.mark.parametrize("system", [
+        hydrogen(),
+        ZeemanSystem(m1=1.0, m2=3670.48296, b=1.0),
+        ZeemanSystem(m1=5.0, m2=1.0, b=-0.7, z=2.0, units=CUSTOM_UNITS),
+        ZeemanSystem(m1=0.7, m2=3.1, b=1.0, units=CUSTOM_UNITS),
+        ZeemanSystem(m1=1.0, m2=7294.3, b=1.0, z=2.0),
+        hydrogen_in(Units(hbar=1e10, light_speed=1e-10)),
+    ])
+    def test_named_systems(self, system):
+        assert center_of_mass_residual(system) <= self.TOLERANCE
+
+    def test_potential_split_exact(self):
+        # Equal masses: the relative and center-of-mass L_z terms cancel
+        # exactly, so positronium has no orbital Zeeman coupling.
+        operator = zeeman._center_of_mass_operator(positronium(2.5), False)
+        assert lz_coefficient(positronium(2.5)) == 0.0
+        assert (0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0) not in operator.coeffs
+        assert center_of_mass_residual(positronium(2.5)) == 0.0
+
+    def test_lz_coefficient_is_the_lamb_g_factor(self):
+        # hbar omega_L = lamb_g_factor (e B / 2 c) hbar multiplies the relative L_z.
+        for system in (hydrogen(), ZeemanSystem(m1=5.0, m2=1.0, b=-0.7, units=CUSTOM_UNITS)):
+            u = system.units
+            expected = lamb_g_factor(system) * (u.charge * system.b / (2.0 * u.light_speed)) * u.hbar
+            assert 1j * lz_coefficient(system) == pytest.approx(expected, rel=1e-14)
+
+    def test_nuclear_charge_stays_out_of_the_orbital_coupling(self):
+        for z in (1.0, 2.0, 79.0):
+            system = ZeemanSystem(m1=1.0, m2=7294.3, b=1.0, z=z)
+            assert lz_coefficient(system) == lz_coefficient(ZeemanSystem(m1=1.0, m2=7294.3, b=1.0))
+
+    def test_swapped_masses_in_the_coordinate_change_fail(self, monkeypatch):
+        real = zeeman._lab_to_rel
+        monkeypatch.setattr(zeeman, "_lab_to_rel", lambda mu1, mu2: real(mu2, mu1))
+        assert center_of_mass_residual(hydrogen()) > 100 * self.TOLERANCE
+
+    def test_scaled_field_fails(self, monkeypatch):
+        # A relative error of 100x the tolerance in b reaches the L_z gap in
+        # full: it reads (1 - 2 m1^2/m2^2) / (1 + 1e-10) of 1e-10 for hydrogen.
+        real = zeeman.FieldConfig
+        monkeypatch.setattr(zeeman, "FieldConfig", lambda b: real(tuple(x * (1.0 + 1e-10) for x in b)))
+        for system in (hydrogen(), ZeemanSystem(m1=1.0, m2=3670.48296, b=1.0)):
+            assert center_of_mass_residual(system) > 99 * self.TOLERANCE
+
+    def test_in_any_units(self):
+        # The gaps are relative to the terms that produce them, so the check
+        # reads the same in every unit system; "within 10x" is read against
+        # one unit roundoff where a value is exactly 0.
+        eps = np.finfo(float).eps
+        for system in (hydrogen(), ZeemanSystem(m1=0.7, m2=3.1, b=-2.0)):
+            base = center_of_mass_residual(system)
+            assert base <= self.TOLERANCE
+            for hbar in (1e-10, 1.0, 1e10):
+                for light_speed in (1e-10, 1.0, 1e10):
+                    units = Units(hbar=hbar, light_speed=light_speed)
+                    value = center_of_mass_residual(ZeemanSystem(system.m1, system.m2, system.b, units=units))
+                    assert value <= self.TOLERANCE
+                    assert max(value, eps) <= 10 * max(base, eps) and max(base, eps) <= 10 * max(value, eps)
+
+    def test_momentum_split_keeps_a_nan_gap(self):
+        # hbar^2 overflows in the second-order terms: NaN, not a pass.
+        assert math.isnan(center_of_mass_residual(hydrogen_in(Units(hbar=1e200))))
+
+    def test_potential_split_keeps_a_nan_gap(self):
+        # q/c overflows in the gauge terms.
+        assert math.isnan(center_of_mass_residual(hydrogen_in(Units(charge=1e200, light_speed=1e-200))))
