@@ -48,7 +48,7 @@ for row in splitting_table(hydrogen, 2):
 # radial solve reproduces them without using the closed form.
 masses = decompose_masses(hydrogen)
 grid = Grid1D(0.0, 40.0, 2000)
-numeric = radial_eigenvalues(0, masses.reduced, 1.0, grid)
+numeric = radial_eigenvalues(0, masses.reduced, 1.0, grid, 2)
 print("\nradial check (l = 0):")
 for n in (1, 2):
     closed = bohr_energy(n, masses.reduced, 1.0, ATOMIC)

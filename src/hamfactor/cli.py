@@ -58,12 +58,14 @@ from .extham import (
     random_sample_1d,
 )
 from .linalg import (
+    STURM_CROSSOVER,
     SingularBlockError,
     block_det_schur,
     det_lu,
     relative_residual,
     schur_factor_check,
     tridiagonal_eigen,
+    tridiagonal_norm,
     worse,
 )
 from .quantize import (
@@ -109,8 +111,8 @@ SOLVE1D_PRESETS = ("box", "harmonic")
 
 #: Largest working set a report may need, in bytes (see ``solve1d_bytes``
 #: and ``zeeman_bytes``); a larger request is a configuration error,
-#: reported before any allocation.  2 GiB admits solve1d n up to 11521 and
-#: zeeman n_max up to 146.
+#: reported before any allocation.  2 GiB admits solve1d n up to 1001624
+#: at the default 12 levels and zeeman n_max up to 146.
 MAX_WORKING_BYTES = 2 * 1024**3
 
 #: Grids below this interior point count are flagged "coarse" in metadata.
@@ -463,18 +465,22 @@ def _check_working_set(command: str, name: str, value: int, needed: int) -> None
         )
 
 
-def solve1d_bytes(n: int) -> int:
-    """Upper estimate of solve1d's peak working set for n interior points.
+def solve1d_bytes(n: int, count: int) -> int:
+    """Upper estimate of solve1d's peak working set for n interior points and ``count`` levels.
 
-    The operator stays as two bands; two real n x n arrays bound the
-    peak: the assembled tridiagonal and LAPACK's copy of it while the
-    eigenvalues are computed, or up to n eigenvectors and their block's
-    copy afterwards.  The bands, the Python float lists of inverse
-    iteration and the CSV rows get 2 KiB per point.  Measured at n = 420,
-    900 and 2000: 8 bytes per n^2 of traced allocations and 16 of peak-RSS
-    growth with the default 12 levels, 16.2-16.5 traced with count = n.
+    The operator stays as two bands.  At or below the crossover of
+    ``linalg.STURM_CROSSOVER`` its values come from the dense values-only
+    solve, which assembles a real n x n matrix and LAPACK copies it: 16
+    bytes per n^2.  Above it the Sturm counts form no matrix; the
+    off-diagonal of a ``coupled_pencil`` is one constant, so the operator
+    is either unreduced or split into 1 x 1 blocks.  The ``count`` real
+    eigenvectors take 8 n count bytes.  The bands, the Python float lists
+    of the Sturm, factorization and inverse-iteration passes and the CSV
+    rows get 2 KiB per point (measured: about 500 bytes per point traced
+    at count 12 above the crossover).
     """
-    return 16 * n * n + 2048 * n
+    dense = 16 * n * n if n * n <= STURM_CROSSOVER * count else 0
+    return dense + 8 * n * count + 2048 * n
 
 
 def _band_residual(diagonal: np.ndarray, offdiagonal: np.ndarray, energy: float, state: np.ndarray) -> float:
@@ -489,15 +495,14 @@ def run_solve1d(args: argparse.Namespace) -> int:
     settings = _settings(args)
     potential = settings.get("potential", "box")
     n = _require_int(settings.get("n", 200), "n", 3)
-    _check_working_set("solve1d", "n", n, solve1d_bytes(n))
+    count = min(_require_int(settings.get("count", min(12, n)), "count", 1), n)
+    _check_working_set("solve1d", "n", n, solve1d_bytes(n, count))
     default_span = (0.0, 1.0) if potential == "box" else (-12.0, 12.0)
     x_min = _require_real(settings.get("x_min", default_span[0]), "x_min")
     x_max = _require_real(settings.get("x_max", default_span[1]), "x_max")
     mass = _require_real(settings.get("mass", 1.0), "mass")
     if mass <= 0:
         raise ConfigError(f"mass must be positive, got {mass}")
-    count = _require_int(settings.get("count", min(12, n)), "count", 1)
-    count = min(count, n)
     units = _units_from_config(settings.get("units"))
 
     grid = Grid1D(x_min, x_max, n)
@@ -505,6 +510,7 @@ def run_solve1d(args: argparse.Namespace) -> int:
     pencil = coupled_pencil(grid, samples, mass, hbar=units.hbar)
     diagonal, offdiagonal = eliminate_pencil(pencil)
     values, vectors = tridiagonal_eigen(diagonal, offdiagonal, count)
+    norm = tridiagonal_norm(diagonal, offdiagonal)
 
     rows = []
     for index in range(count):
@@ -512,10 +518,10 @@ def run_solve1d(args: argparse.Namespace) -> int:
         hamiltonian_residual = _band_residual(diagonal, offdiagonal, energy, vectors[:, index])
         # The determinant and root distance come from the pencil, not the
         # eigensolver, so they check the spectrum independently.
-        log_magnitude = pencil.log_abs_det(energy)
+        log_magnitude, slope = pencil.log_abs_det(energy)
         log10_det = log_magnitude / math.log(10.0)
         det_cell = "-inf" if math.isinf(log10_det) else repr(log10_det)
-        distance = root_distance(log_magnitude, energy, values)
+        distance = root_distance(slope, norm)
         distance_cell = "-inf" if distance == 0.0 else repr(math.log10(distance))
         rows.append((index, repr(energy), repr(hamiltonian_residual), det_cell, distance_cell))
 

@@ -4,15 +4,18 @@ All routines operate on plain numpy arrays with ``complex128`` entries
 and are sized for desk-scale matrices.  Determinants and null spaces use
 explicit elimination so pivoting and rank decisions stay visible.
 Tridiagonal matrices have their own kernels: an O(n) banded
-elimination for real symmetric log-determinants, and a Hermitian
-eigensolver that takes every eigenvalue from LAPACK's values-only path
-and computes each requested eigenvector in O(n) by inverse iteration.
+elimination for real symmetric log-determinants and their derivative,
+and a Hermitian eigensolver for the lowest levels, which takes their
+values from Sturm counts on large blocks and from LAPACK's values-only
+path on small ones, and computes each eigenvector in O(n) by inverse
+iteration.
 ``worse`` is the NaN-keeping maximum that every residual in the package
 folds with; ``relative_residual`` scales a gap by the terms behind it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -124,50 +127,71 @@ def logabsdet_lu(m) -> tuple[float, complex]:
     return log_abs, phase
 
 
-def logabsdet_tridiagonal(diagonal, offdiagonal) -> tuple[float, float]:
-    """``(log|det T|, sign)`` of a real symmetric tridiagonal matrix T.
+def logabsdet_tridiagonal(diagonal, offdiagonal, rate) -> tuple[float, float, float]:
+    """``(log|det T|, sign, slope)`` of a real symmetric tridiagonal matrix T.
 
     ``diagonal`` holds the n diagonal entries and ``offdiagonal`` the
-    n - 1 entries beside them.  Elimination pivots like LAPACK ?gttrf:
-    at each step the row with the larger entry in the pivot column
-    leads, so a row swap gives U a second superdiagonal.  Only the two
-    live entries of the row being reduced are kept, so the cost is O(n)
-    and no matrix is formed.  An exactly singular matrix returns
-    ``(-inf, 0)``.
+    n - 1 entries beside them.  ``slope`` is d log|det T(t)| / dt at t = 0
+    for T(t) = T + t diag(rate), the sum of pivot' / pivot.  Elimination
+    pivots like LAPACK ?gttrf: at each step the row with the larger entry
+    in the pivot column leads, so a row swap gives U a second
+    superdiagonal.  Only the two live entries of the row being reduced are
+    kept, with their derivatives along ``rate`` by the product and
+    quotient rules, so the cost is O(n) and no matrix is formed.  An
+    exactly singular matrix returns ``(-inf, 0, inf)``.
     """
     d = np.asarray(diagonal, dtype=float)
     off = np.asarray(offdiagonal, dtype=float)
-    if d.ndim != 1 or off.shape != (max(d.size - 1, 0),):
+    r = np.asarray(rate, dtype=float)
+    if d.ndim != 1 or off.shape != (max(d.size - 1, 0),) or r.shape != d.shape:
         raise ValueError(
-            f"need n diagonal and n - 1 off-diagonal entries, got shapes {d.shape} and {off.shape}"
+            f"need n diagonal, n - 1 off-diagonal and n rate entries, got shapes {d.shape}, {off.shape} and {r.shape}"
         )
-    if not (np.isfinite(d).all() and np.isfinite(off).all()):
+    if not (np.isfinite(d).all() and np.isfinite(off).all() and np.isfinite(r).all()):
         raise ValueError("matrix entries must be finite")
     if d.size == 0:
-        return 0.0, 1.0
+        return 0.0, 1.0, 0.0
     off = off.tolist() + [0.0]
     pivots = []
+    slope = 0.0
     swaps = 0
     # Row i is (lead, upper) in columns i, i + 1; row i + 1 is
-    # (below, diag, beyond) in columns i .. i + 2.
+    # (below, diag, beyond) in columns i .. i + 2.  Off-diagonal entries
+    # do not move with t, so a swapped-in pivot has derivative 0.
     lead, upper = float(d[0]), off[0]
-    for below, diag, beyond in zip(off, d[1:].tolist(), off[1:]):
+    lead_rate, upper_rate = float(r[0]), 0.0
+    for below, diag, diag_rate, beyond in zip(off, d[1:].tolist(), r[1:].tolist(), off[1:]):
         if abs(lead) >= abs(below):
             if lead == 0.0:
-                return -math.inf, 0.0
+                return -math.inf, 0.0, math.inf
             pivots.append(lead)
-            lead, upper = diag - below / lead * upper, beyond
+            share = lead_rate / lead
+            slope += share
+            factor = below / lead
+            lead, lead_rate = diag - factor * upper, diag_rate - factor * (upper_rate - upper * share)
+            upper, upper_rate = beyond, 0.0
         else:
             pivots.append(below)
-            factor = lead / below
-            lead, upper = upper - factor * diag, -factor * beyond
+            factor, factor_rate = lead / below, lead_rate / below
+            lead, lead_rate = upper - factor * diag, upper_rate - factor_rate * diag - factor * diag_rate
+            upper, upper_rate = -factor * beyond, -factor_rate * beyond
             swaps += 1
     if lead == 0.0:
-        return -math.inf, 0.0
+        return -math.inf, 0.0, math.inf
     pivots.append(lead)
+    slope += lead_rate / lead
     p = np.array(pivots)
     negatives = swaps + int(np.count_nonzero(p < 0.0))
-    return float(np.log(np.abs(p)).sum()), -1.0 if negatives % 2 else 1.0
+    return float(np.log(np.abs(p)).sum()), -1.0 if negatives % 2 else 1.0, slope
+
+
+def tridiagonal_norm(diagonal, offdiagonal) -> float:
+    """1-norm of the Hermitian tridiagonal matrix with these bands (the largest absolute row sum)."""
+    rows = np.abs(np.asarray(diagonal, dtype=float))
+    off = np.abs(np.asarray(offdiagonal))
+    rows[1:] += off
+    rows[:-1] += off
+    return float(rows.max())
 
 
 #: Eigenvalues of one block closer together than this share of its scale
@@ -178,25 +202,36 @@ _CLUSTER_GAP = 1e-3
 
 _EPS = float(np.finfo(float).eps)
 
+#: A block of size s takes its lowest k values from Sturm counts when
+#: s^2 > STURM_CROSSOVER * k, and from LAPACK's dense values-only solve
+#: otherwise.  The dense solve costs O(s^3) in compiled code; a Sturm pass
+#: costs O(s) in Python floats, and a level about five passes.  Measured
+#: with single-thread BLAS on a 2-vCPU x86-64 host, the two cost the same
+#: near s^2 / k = 4000-6400 for the box and harmonic wells and near 13000
+#: for a rippled well, which needs more passes; the value sits near the
+#: upper end, so the dense solve stays wherever it is clearly faster.
+STURM_CROSSOVER = 12_000
+
 
 def tridiagonal_eigen(diagonal, offdiagonal, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues of a Hermitian tridiagonal T, and eigenvectors of the lowest ``count``.
+    """The lowest ``count`` eigenvalues of a Hermitian tridiagonal T, and their eigenvectors.
 
     ``diagonal`` holds the n real diagonal entries and ``offdiagonal`` the
     n - 1 entries above them, real or complex; the entries below are their
-    conjugates.  Returns the n eigenvalues ascending and an n x count
-    array whose columns are the matching unit eigenvectors, real when the
-    off-diagonal is real.
+    conjugates.  Returns the ``count`` lowest eigenvalues ascending and an
+    n x count array whose columns are the matching unit eigenvectors, real
+    when the off-diagonal is real.
 
     A complex off-diagonal is made real by the diagonal unitary similarity
     that ``Pencil1D.log_abs_det`` uses, which replaces each entry by its
     modulus; the vectors are mapped back by its phases.  T splits into
-    unreduced blocks at zero off-diagonal entries.  Each block's values
-    come from LAPACK's values-only symmetric solver on the assembled real
-    block, the one n x n array (NumPy has no tridiagonal eigensolver), and
-    each requested vector costs O(n) by inverse iteration on its block.
-    Its random start vectors come from a fixed seed, so results repeat
-    bit for bit.
+    unreduced blocks at zero off-diagonal entries.  A block of size s gives
+    its lowest min(count, s) values from Sturm counts when s^2 exceeds
+    ``STURM_CROSSOVER`` times that number, in O(s) per pass with no matrix
+    formed, and otherwise from LAPACK's values-only symmetric solver on the
+    assembled block (NumPy has no tridiagonal eigensolver).  Each requested
+    vector costs O(s) by inverse iteration on its block.  Its random start
+    vectors come from a fixed seed, so results repeat bit for bit.
     """
     d = np.asarray(diagonal, dtype=float)
     off = np.asarray(offdiagonal)
@@ -207,8 +242,8 @@ def tridiagonal_eigen(diagonal, offdiagonal, count: int) -> tuple[np.ndarray, np
         )
     if not (np.isfinite(d).all() and np.isfinite(off).all()):
         raise ValueError("matrix entries must be finite")
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or not 0 <= count <= n:
-        raise ValueError(f"count must be an integer in 0..{n}, got {count!r}")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or not 1 <= count <= n:
+        raise ValueError(f"count must be an integer in 1..{n}, got {count!r}")
     phases = None
     if np.iscomplexobj(off) and off.imag.any():
         e = np.abs(off)
@@ -223,23 +258,29 @@ def tridiagonal_eigen(diagonal, offdiagonal, count: int) -> tuple[np.ndarray, np
 
     bounds = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), n]
     blocks = list(zip(bounds[:-1], bounds[1:]))
-    # Block [lo, hi) puts its spectrum at positions lo..hi-1 of the concatenation.
-    spectra = np.concatenate(
-        [np.linalg.eigvalsh(_symmetric_tridiagonal(d[lo:hi], e[lo : hi - 1])) for lo, hi in blocks]
-    )
-    picked = np.argsort(spectra, kind="stable")
-    values = spectra[picked]
-    picked = picked[:count]
+    spectra = [_lowest_values(d[lo:hi], e[lo : hi - 1], min(count, hi - lo)) for lo, hi in blocks]
+    # Block b puts its values at positions starts[b] .. starts[b + 1] - 1 of the concatenation.
+    starts = np.cumsum([0, *(len(values) for values in spectra)])
+    spectrum = np.concatenate(spectra)
+    picked = np.argsort(spectrum, kind="stable")[:count]
+    values = spectrum[picked]
 
     vectors = np.zeros((n, count), dtype=float if phases is None else np.complex128)
     rng = np.random.default_rng(0)
-    for lo, hi in blocks:
-        columns = np.flatnonzero((lo <= picked) & (picked < hi))
+    for (lo, hi), first, last in zip(blocks, starts[:-1], starts[1:]):
+        columns = np.flatnonzero((first <= picked) & (picked < last))
         if columns.size:
             vectors[lo:hi, columns] = _inverse_iteration(d[lo:hi], e[lo : hi - 1], values[columns], rng).T
     if phases is not None:
         vectors *= phases[:, None]
     return values, vectors
+
+
+def _lowest_values(diagonal: np.ndarray, offdiagonal: np.ndarray, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvalues of an unreduced real symmetric tridiagonal block, ascending."""
+    if diagonal.size**2 > STURM_CROSSOVER * count:
+        return _sturm_values(diagonal, offdiagonal, count)
+    return np.linalg.eigvalsh(_symmetric_tridiagonal(diagonal, offdiagonal))[:count]
 
 
 def _symmetric_tridiagonal(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
@@ -249,6 +290,109 @@ def _symmetric_tridiagonal(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.
     flat[1 :: n + 1] = offdiagonal
     flat[n :: n + 1] = offdiagonal
     return t
+
+
+def _scale_exponent(diagonal, offdiagonal) -> int:
+    """The exponent of the power of two just above the block's 1-norm; T / 2**exponent has 1-norm < 1."""
+    return math.frexp(tridiagonal_norm(diagonal, offdiagonal))[1]
+
+
+def _sturm_values(diagonal: np.ndarray, offdiagonal: np.ndarray, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvalues of a real symmetric tridiagonal block, ascending, from Sturm counts.
+
+    The block is scaled by a power of two to a 1-norm below 1, so its
+    spectrum lies in (-1, 1).  One O(n) pass per shift (``_sturm_count``)
+    gives the number of eigenvalues below the shift and d/dshift of
+    log|det(B - shift)|.  Each level keeps a bracket of two shifts whose
+    counts straddle it, taken from the sorted (shift, count) history of
+    the levels before it, and starts from an extrapolation of those
+    levels.  It steps by Newton on det(B - shift) with the levels already
+    found divided out.  A step that leaves the bracket, does not head for
+    this level, or is not below half the step before last, is replaced by
+    bisection; a step at rounding size is lengthened by the tolerance, so
+    that the next count closes the bracket from the far side.  A level is
+    the midpoint of a bracket at most 8 eps wide.  An unreduced block has
+    simple eigenvalues; a multiple one, which only a zero off-diagonal
+    allows, falls back to bisection.
+    """
+    exponent = _scale_exponent(diagonal, offdiagonal)
+    d = np.ldexp(diagonal, -exponent).tolist()
+    e = np.ldexp(offdiagonal, -exponent)
+    e2 = [0.0, *(e * e).tolist()]
+    tol = 2.0 * _EPS
+    shifts, counts = [-1.0, 1.0], [0, len(d)]
+    values: list[float] = []
+    for level in range(count):
+        above = bisect.bisect_right(counts, level)
+        lo, hi = shifts[above - 1], shifts[above]
+        guess = _extrapolate(values)
+        shift = guess if lo < guess < hi else 0.5 * (lo + hi)
+        step = before = hi - lo
+        while hi - lo > 4.0 * tol:
+            negatives, slope = _sturm_count(d, e2, shift)
+            at = bisect.bisect_left(shifts, shift)
+            shifts.insert(at, shift)
+            counts.insert(at, negatives)
+            if negatives <= level:
+                lo = shift
+            else:
+                hi = shift
+            slope -= sum(1.0 / (shift - value) for value in values if value != shift)
+            newton = -1.0 / slope if slope else math.inf
+            target = shift + newton + math.copysign(tol, newton)
+            # Newton heads for this level only up from a count of exactly
+            # the level, or down from one more; any other count leaves
+            # another root, or a multiple one, in the way.  A rounding-size
+            # step may only follow a longer one, so steps that move by the
+            # tolerance alone cannot run on.
+            toward = negatives == level if newton > 0.0 else negatives == level + 1
+            if abs(newton) <= 4.0 * tol:
+                converging = abs(step) > 4.0 * tol
+            else:
+                converging = abs(newton) < 0.5 * abs(before)
+            if toward and converging and lo < target < hi:
+                before, step = step, newton
+                shift = target
+            else:
+                before, step = step, 0.5 * (hi - lo)
+                shift = lo + step
+        values.append(0.5 * (lo + hi))
+    return np.ldexp(values, exponent)
+
+
+def _extrapolate(values: list) -> float:
+    """A first shift for the next level: 0, then twice the first level, then a linear and a quadratic extrapolation."""
+    if len(values) >= 3:
+        return 3.0 * (values[-1] - values[-2]) + values[-3]
+    if len(values) == 2:
+        return 2.0 * values[-1] - values[-2]
+    return 2.0 * values[0] if values else 0.0
+
+
+def _sturm_count(d: list, e2: list, shift: float) -> tuple[int, float]:
+    """Negative pivots of T - shift = L D L^T, and the sum of D_i' / D_i = d/dshift log|det(T - shift)|.
+
+    The pivots are those of ``_ldl_pivots``, with a pivot below eps in
+    modulus raised to +-eps; their number below zero is the number of
+    eigenvalues below the shift (Kahan 1966), monotone in the shift in
+    floating point (Demmel, Dhillon & Ren 1995).  ``e2`` holds the squared
+    off-diagonal, led by a 0 for the first row.
+    """
+    eps = _EPS
+    negatives = 0
+    slope = 0.0
+    pivot, share = 1.0, 0.0  # share = D_i' / D_i
+    for off2, diag in zip(e2, d):
+        ratio = off2 / pivot
+        pivot = diag - shift - ratio
+        if -eps < pivot < eps:
+            pivot = eps if pivot >= 0.0 else -eps
+        if pivot < 0.0:
+            negatives += 1
+        # D_i' = -1 + e_(i-1)^2 D_(i-1)' / D_(i-1)^2 = ratio * share_(i-1) - 1.
+        share = (ratio * share - 1.0) / pivot
+        slope += share
+    return negatives, slope
 
 
 def _inverse_iteration(diagonal, offdiagonal, values, rng: np.random.Generator) -> np.ndarray:
@@ -264,10 +408,7 @@ def _inverse_iteration(diagonal, offdiagonal, values, rng: np.random.Generator) 
     each solve and twice after the last.  Every pass runs over Python
     floats, so a vector costs O(n) with no per-entry NumPy call.
     """
-    norm = np.abs(diagonal)
-    norm[1:] += np.abs(offdiagonal)
-    norm[:-1] += np.abs(offdiagonal)
-    exponent = math.frexp(float(norm.max()))[1]
+    exponent = _scale_exponent(diagonal, offdiagonal)
     d = np.ldexp(diagonal, -exponent).tolist()
     e = np.ldexp(offdiagonal, -exponent)
     e, e2 = e.tolist(), [0.0, *(e * e).tolist()]

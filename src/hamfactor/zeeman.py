@@ -154,16 +154,17 @@ def radial_eigenvalues(
     mu: float,
     z: float,
     grid: Grid1D,
+    count: int,
     units: Units = ATOMIC,
 ) -> np.ndarray:
-    """Eigenvalues of the reduced radial problem on a uniform grid.
+    """The lowest ``count`` eigenvalues of the reduced radial problem on a uniform grid, ascending.
 
     Three-point discretization of
     -(hbar^2 / 2 mu) u'' + [l (l+1) hbar^2 / (2 mu r^2) - z e^2 / r] u = E u
-    on (0, r_max] with Dirichlet conditions at both ends, ascending: the
-    eliminated 1-D pencil M^H M + diag(V).  The lowest eigenvalues
-    approximate the bound-state energies for the given angular momentum
-    at O(h^2) accuracy.
+    on (0, r_max] with Dirichlet conditions at both ends: the eliminated
+    1-D pencil M^H M + diag(V).  The lowest eigenvalues approximate the
+    bound-state energies for the given angular momentum at O(h^2)
+    accuracy.
     """
     if l < 0:
         raise ValueError(f"angular momentum must be >= 0, got {l}")
@@ -175,7 +176,7 @@ def radial_eigenvalues(
         raise ValueError(f"reduced mass must be positive and finite, got {mu}")
     r = grid.points
     v = l * (l + 1) * units.hbar**2 / (2.0 * mu * r**2) - z * units.charge**2 / r
-    return tridiagonal_eigen(*eliminate_pencil(coupled_pencil(grid, v, mu, units.hbar)), 0)[0]
+    return tridiagonal_eigen(*eliminate_pencil(coupled_pencil(grid, v, mu, units.hbar)), count)[0]
 
 
 def _lab_to_rel(mu1: float, mu2: float) -> np.ndarray:

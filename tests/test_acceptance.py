@@ -192,15 +192,15 @@ def test_criterion_06_quantization_elimination():
     ):
         grid = Grid1D(x_min, x_max, n)
         pencil = coupled_pencil(grid, potential(grid.points), 1.0)
-        spectrum, _ = tridiagonal_eigen(*eliminate_pencil(pencil), 0)
+        spectrum, _ = tridiagonal_eigen(*eliminate_pencil(pencil), n)
         for value in spectrum:
-            distance = pencil_root_distance(pencil, float(value), spectrum)
+            distance = pencil_root_distance(pencil, float(value))
             guard_ok = guard_ok and distance < PENCIL_SINGULARITY_GUARD
         scale = float(np.abs(spectrum).max())
         for left, right in zip(spectrum[:-1], spectrum[1:]):
             if right - left > 1e-6 * scale:
                 mid = 0.5 * (left + right)
-                distance = pencil_root_distance(pencil, mid, spectrum)
+                distance = pencil_root_distance(pencil, mid)
                 guard_ok = guard_ok and distance > PENCIL_SINGULARITY_GUARD
 
     exact = math.pi**2 / 2.0
@@ -208,7 +208,7 @@ def test_criterion_06_quantization_elimination():
     def box_ground(n):
         grid = Grid1D(0.0, 1.0, n)
         pencil = coupled_pencil(grid, np.zeros(n), 1.0)
-        values, _ = tridiagonal_eigen(*eliminate_pencil(pencil), 0)
+        values, _ = tridiagonal_eigen(*eliminate_pencil(pencil), 1)
         return float(values[0])
 
     rel_err = abs(box_ground(2000) - exact) / exact
@@ -277,7 +277,7 @@ def test_criterion_08_zeeman_analysis():
         table_ok = table_ok and row.shift == ATOMIC.hbar * omega * step + 0.0
 
     grid = Grid1D(0.0, 40.0, 2000)
-    radial = radial_eigenvalues(0, masses.reduced, 1.0, grid)
+    radial = radial_eigenvalues(0, masses.reduced, 1.0, grid, 2)
     bohr = [-masses.reduced / 2.0, -masses.reduced / 8.0]
     radial_err = worse(
         abs(float(radial[0]) - bohr[0]) / abs(bohr[0]),

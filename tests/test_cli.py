@@ -344,9 +344,9 @@ class TestSolve1d:
     def test_one_banded_factorization_per_level(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(diagonal, offdiagonal):
+        def counting(diagonal, offdiagonal, rate):
             calls.append(len(diagonal))
-            return logabsdet_tridiagonal(diagonal, offdiagonal)
+            return logabsdet_tridiagonal(diagonal, offdiagonal, rate)
 
         monkeypatch.setattr(quantize, "logabsdet_tridiagonal", counting)
         out = tmp_path / "levels.csv"
@@ -355,9 +355,9 @@ class TestSolve1d:
         assert calls == [2 * 90 + 1] * 7
 
     def test_oversized_grid_rejected_before_allocation(self, capsys):
-        # The documented bound: n up to 11521 fits the limit.
-        largest = 11521
-        assert solve1d_bytes(largest) <= MAX_WORKING_BYTES < solve1d_bytes(largest + 1)
+        # The documented bound: n up to 1001624 fits the limit at the default 12 levels.
+        largest = 1001624
+        assert solve1d_bytes(largest, 12) <= MAX_WORKING_BYTES < solve1d_bytes(largest + 1, 12)
         tracemalloc.start()
         try:
             for n in (largest + 1, 10**7):
@@ -368,7 +368,8 @@ class TestSolve1d:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    @pytest.mark.parametrize("n, count", [(900, 12), (150, 150)])
+    # n = 900 and 400 are above the STURM_CROSSOVER for their counts: no n x n array.
+    @pytest.mark.parametrize("n, count", [(900, 12), (150, 150), (400, 2)])
     def test_working_set_estimate_bounds_traced_peak(self, tmp_path, n, count):
         out = tmp_path / "levels.csv"
         config = write_config(tmp_path, {"n": n, "count": count})
@@ -378,7 +379,7 @@ class TestSolve1d:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= solve1d_bytes(n)
+        assert peak <= solve1d_bytes(n, count)
 
     @pytest.mark.parametrize(
         "config",

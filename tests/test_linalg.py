@@ -119,20 +119,26 @@ class TestLogAbsDetTridiagonal:
     def test_matches_dense_lu(self, rng, n):
         diagonal = rng.normal(size=n)
         offdiagonal = rng.normal(size=n - 1)
-        log_abs, sign = logabsdet_tridiagonal(diagonal, offdiagonal)
-        dense_log, phase = logabsdet_lu(tridiagonal(diagonal, offdiagonal))
+        rate = rng.normal(size=n)
+        log_abs, sign, slope = logabsdet_tridiagonal(diagonal, offdiagonal, rate)
+        t = tridiagonal(diagonal, offdiagonal)
+        dense_log, phase = logabsdet_lu(t)
         assert log_abs == pytest.approx(dense_log, rel=1e-12, abs=1e-12)
         assert sign == pytest.approx(phase, abs=1e-12)
+        # d/dt log|det(T + t R)| = trace(T^-1 R).
+        assert slope == pytest.approx(np.trace(np.linalg.solve(t, np.diag(rate))), rel=1e-9, abs=1e-12)
 
     def test_zero_leading_pivot_forces_row_swap(self):
         # Without the swap the zero pivot would read as a singular matrix.
-        log_abs, sign = logabsdet_tridiagonal([0.0, 3.0], [2.0])
+        log_abs, sign, slope = logabsdet_tridiagonal([0.0, 3.0], [2.0], [1.0, 1.0])
         assert log_abs == pytest.approx(math.log(4.0), rel=1e-15)
         assert sign == -1.0
+        # det(T + t) = t (3 + t) - 4, so the slope at t = 0 is 3 / -4.
+        assert slope == pytest.approx(-0.75, rel=1e-15)
 
     def test_zero_pivot_mid_elimination_forces_row_swap(self):
         diagonal, offdiagonal = [1.0, 1.0, 2.0], [1.0, 5.0]
-        log_abs, sign = logabsdet_tridiagonal(diagonal, offdiagonal)
+        log_abs, sign, _ = logabsdet_tridiagonal(diagonal, offdiagonal, [0.0, 0.0, 1.0])
         assert det_cofactor(tridiagonal(diagonal, offdiagonal)) == pytest.approx(-25.0)
         assert log_abs == pytest.approx(math.log(25.0), rel=1e-15)
         assert sign == -1.0
@@ -142,22 +148,27 @@ class TestLogAbsDetTridiagonal:
         [([1.0, 1.0], [1.0]), ([0.0, 0.0, 0.0], [0.0, 0.0]), ([2.0, 0.0, 7.0], [0.0, 0.0])],
     )
     def test_singular_returns_minus_inf(self, diagonal, offdiagonal):
-        assert logabsdet_tridiagonal(diagonal, offdiagonal) == (-math.inf, 0.0)
+        assert logabsdet_tridiagonal(diagonal, offdiagonal, np.ones(len(diagonal))) == (-math.inf, 0.0, math.inf)
 
     def test_handles_magnitudes_beyond_float_range(self):
-        log_abs, sign = logabsdet_tridiagonal(np.full(500, -10.0), np.full(499, 1e-3))
+        log_abs, sign, slope = logabsdet_tridiagonal(np.full(500, -10.0), np.full(499, 1e-3), np.ones(500))
         dense_log, _ = logabsdet_lu(tridiagonal(np.full(500, -10.0), np.full(499, 1e-3)))
         assert log_abs == pytest.approx(dense_log, rel=1e-12)
         assert log_abs > 1000.0 and sign == 1.0
+        assert slope == pytest.approx(-50.0, rel=1e-6)  # about 500 / -10
 
     def test_empty_matrix(self):
-        assert logabsdet_tridiagonal([], []) == (0.0, 1.0)
+        assert logabsdet_tridiagonal([], [], []) == (0.0, 1.0, 0.0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="off-diagonal"):
-            logabsdet_tridiagonal([1.0, 2.0], [1.0, 2.0])
+            logabsdet_tridiagonal([1.0, 2.0], [1.0, 2.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="rate"):
+            logabsdet_tridiagonal([1.0, 2.0], [1.0], [1.0])
         with pytest.raises(ValueError, match="finite"):
-            logabsdet_tridiagonal([1.0, math.nan], [1.0])
+            logabsdet_tridiagonal([1.0, math.nan], [1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            logabsdet_tridiagonal([1.0, 2.0], [1.0], [1.0, math.inf])
 
 
 class TestWorse:
@@ -312,19 +323,34 @@ def check_eigenpairs(diagonal, offdiagonal, count):
     t = hermitian_tridiagonal(diagonal, offdiagonal)
     norm = np.abs(t).sum(axis=0).max()
     values, vectors = tridiagonal_eigen(diagonal, offdiagonal, count)
-    assert values.shape == (t.shape[0],) and vectors.shape == (t.shape[0], count)
-    value_gap = np.abs(values - np.linalg.eigh(t)[0]).max() / norm
-    residual = np.abs(t @ vectors - vectors * values[:count]).max(initial=0.0) / norm
-    orthonormality = np.abs(vectors.conj().T @ vectors - np.eye(count)).max(initial=0.0)
+    assert values.shape == (count,) and vectors.shape == (t.shape[0], count)
+    value_gap = np.abs(values - np.linalg.eigh(t)[0][:count]).max() / norm
+    residual = np.abs(t @ vectors - vectors * values).max() / norm
+    orthonormality = np.abs(vectors.conj().T @ vectors - np.eye(count)).max()
     return value_gap, residual, orthonormality
+
+
+def kernel_value_gaps(diagonal, offdiagonal, count):
+    """Gap of each value kernel, Sturm and dense, to eigvalsh of the Hermitian T, against |T|_1.
+
+    Both run on the whole matrix, unsplit, with the off-diagonal moduli,
+    which is all a complex entry contributes to the counts.
+    """
+    t = hermitian_tridiagonal(diagonal, offdiagonal)
+    norm = np.abs(t).sum(axis=0).max()
+    reference = np.linalg.eigvalsh(t)[:count]
+    diagonal, moduli = np.asarray(diagonal, dtype=float), np.abs(np.asarray(offdiagonal))
+    sturm = linalg._sturm_values(diagonal, moduli, count)
+    dense = np.linalg.eigvalsh(linalg._symmetric_tridiagonal(diagonal, moduli))[:count]
+    return np.abs(sturm - reference).max() / norm, np.abs(dense - reference).max() / norm
 
 
 class TestTridiagonalEigen:
     @pytest.mark.parametrize("complex_band", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 200])
     def test_matches_dense_eigh(self, rng, n, complex_band):
-        for count in sorted({0, 1, n}):
-            for _ in range(3):
+        for count in sorted({1, (n + 1) // 2, n}):
+            for draw in range(3):
                 diagonal = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
                 offdiagonal = rng.normal(size=n - 1)
                 if complex_band:
@@ -333,6 +359,24 @@ class TestTridiagonalEigen:
                 assert value_gap <= 1e-13
                 assert residual <= 1e-13
                 assert orthonormality <= 1e-12
+                if draw == 0 and count == (n + 1) // 2:
+                    assert max(kernel_value_gaps(diagonal, offdiagonal, count)) <= 1e-13
+
+    @pytest.mark.parametrize("n, sturm", [(109, False), (110, True)])
+    def test_value_kernel_follows_the_crossover(self, rng, monkeypatch, n, sturm):
+        # n^2 = 11881 is at or below STURM_CROSSOVER * 1, and 12100 above it.
+        calls = []
+
+        def counting(diagonal, offdiagonal, count):
+            calls.append((diagonal.size, count))
+            return sturm_values(diagonal, offdiagonal, count)
+
+        sturm_values = linalg._sturm_values
+        monkeypatch.setattr(linalg, "_sturm_values", counting)
+        diagonal, offdiagonal = rng.normal(size=n), rng.normal(size=n - 1)
+        value_gap, residual, orthonormality = check_eigenpairs(diagonal, offdiagonal, 1)
+        assert calls == ([(n, 1)] if sturm else [])
+        assert value_gap <= 1e-13 and residual <= 1e-13 and orthonormality <= 1e-12
 
     def test_vectors_are_real_for_a_real_band_and_complex_otherwise(self):
         assert tridiagonal_eigen([1.0, 2.0], [0.5], 2)[1].dtype == np.float64
@@ -346,7 +390,7 @@ class TestTridiagonalEigen:
 
     def test_zero_matrix_splits_into_unit_vectors(self):
         values, vectors = tridiagonal_eigen(np.zeros(6), np.zeros(5), 3)
-        assert np.array_equal(values, np.zeros(6))
+        assert np.array_equal(values, np.zeros(3))
         assert np.array_equal(np.abs(vectors), np.eye(6)[:, :3])
 
     def test_split_blocks_keep_disjoint_support(self, rng):
@@ -360,6 +404,8 @@ class TestTridiagonalEigen:
             on_second = np.abs(vectors[2:, column]).max() > 0.0
             assert on_first != on_second
         assert check_eigenpairs(diagonal, offdiagonal, 5)[1] <= 1e-15
+        # The counts need no split: both kernels take the unsplit matrix.
+        assert max(kernel_value_gaps(diagonal, offdiagonal, 5)) <= 1e-13
 
     def test_tight_cluster_stays_orthonormal(self):
         # Nearly decoupled copies give pairs far closer than rounding of |T|.
@@ -380,6 +426,7 @@ class TestTridiagonalEigen:
         for diagonal, offdiagonal in ((np.tile(wilkinson, 14), glue), graded):
             value_gap, residual, orthonormality = check_eigenpairs(diagonal, offdiagonal, diagonal.size)
             assert value_gap <= 1e-13 and residual <= 1e-13 and orthonormality <= 1e-12
+            assert max(kernel_value_gaps(diagonal, offdiagonal, diagonal.size)) <= 1e-13
 
     def test_extreme_scales(self):
         for scale in (1e-300, 1e300):
@@ -388,6 +435,7 @@ class TestTridiagonalEigen:
             values, vectors = tridiagonal_eigen(diagonal, offdiagonal, 4)
             assert np.isfinite(values).all() and np.isfinite(vectors).all()
             assert np.abs(vectors.T @ vectors - np.eye(4)).max() <= 1e-12
+            assert max(kernel_value_gaps(diagonal, offdiagonal, 4)) <= 1e-13
 
     @pytest.mark.parametrize(
         "diagonal, offdiagonal, count, match",
@@ -400,6 +448,7 @@ class TestTridiagonalEigen:
             ([1.0, 2.0], [0.5], 3, "count"),
             ([1.0, 2.0], [0.5], -1, "count"),
             ([1.0, 2.0], [0.5], True, "count"),
+            ([1.0, 2.0], [0.5], 0, "count"),
         ],
     )
     def test_rejects_bad_input(self, diagonal, offdiagonal, count, match):

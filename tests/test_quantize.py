@@ -28,7 +28,8 @@ from hamfactor import (
     tridiagonal_eigen,
     weyl_product,
 )
-from hamfactor.linalg import logabsdet_lu, logabsdet_tridiagonal
+from hamfactor import linalg
+from hamfactor.linalg import logabsdet_lu, logabsdet_tridiagonal, tridiagonal_norm
 from hamfactor.quantize import _particle_terms
 from hamfactor.spin import MAX_SITES
 
@@ -55,8 +56,8 @@ def dense(diagonal, offdiagonal):
     return np.diag(diagonal.astype(np.complex128)) + np.diag(offdiagonal, 1) + np.diag(offdiagonal.conj(), -1)
 
 
-def eigen(pencil, count=0):
-    """All eigenvalues of the eliminated operator and the lowest ``count`` eigenvectors."""
+def eigen(pencil, count):
+    """The lowest ``count`` eigenvalues of the eliminated operator and their eigenvectors."""
     return tridiagonal_eigen(*eliminate_pencil(pencil), count)
 
 
@@ -224,11 +225,28 @@ class TestBandedPencil:
             assert np.array_equal(t, np.triu(np.tril(t, 1), -1))
             assert np.array_equal(np.diag(t)[0::2], np.ones(n + 1))
             assert np.array_equal(np.diag(t)[1::2], energy - pencil.potential)
-            log_abs, sign = logabsdet_tridiagonal(np.diag(t).real, np.abs(np.diag(t, 1)))
+            rate = np.zeros(2 * n + 1)
+            rate[1::2] = 1.0
+            log_abs, sign, slope = logabsdet_tridiagonal(np.diag(t).real, np.abs(np.diag(t, 1)), rate)
             dense_log, phase = logabsdet_lu(g)
             assert abs(log_abs - dense_log) <= 1e-9 * max(1.0, abs(dense_log))
             assert sign == pytest.approx(phase, abs=1e-9)
-            assert pencil.log_abs_det(energy) == log_abs
+            # det G(E) = det(E - H), so its log-derivative is sum 1 / (E - lambda).
+            # Each eigenvalue is known to a rounding share of |T|, which moves
+            # its term by that share times |T| / (E - lambda)^2.
+            sensitivity = np.abs(spectrum).max() * np.sum((energy - spectrum) ** -2.0)
+            assert abs(slope - np.sum(1.0 / (energy - spectrum))) <= 1e-12 * sensitivity
+            assert pencil.log_abs_det(energy) == (log_abs, slope)
+
+    @pytest.mark.parametrize("kind", ["box", "harmonic", "table"])
+    def test_slope_matches_finite_difference(self, rng, kind):
+        pencil = sample_pencil(kind, 33, rng)
+        spectrum = np.linalg.eigvalsh(dense(*eliminate_pencil(pencil)))
+        step = 1e-6 * np.abs(spectrum).max()
+        for k in (0, 5, 20):
+            energy = 0.5 * (spectrum[k] + spectrum[k + 1])
+            upper, lower = pencil.log_abs_det(energy + step)[0], pencil.log_abs_det(energy - step)[0]
+            assert pencil.log_abs_det(energy)[1] == pytest.approx((upper - lower) / (2.0 * step), rel=1e-6)
 
     @pytest.mark.parametrize("kind", ["box", "harmonic", "table"])
     @pytest.mark.parametrize("n", [3, 33, 112, 200])
@@ -256,7 +274,7 @@ class TestBandedPencil:
         assert np.allclose(auxiliary_component(pencil, psi1), -(m @ psi1), rtol=1e-14, atol=1e-14)
         for energy in (-3.0, 0.4, 9.0):
             dense_log, _ = logabsdet_lu(pencil.matrix(energy))
-            assert pencil.log_abs_det(energy) == pytest.approx(dense_log, rel=1e-12, abs=1e-12)
+            assert pencil.log_abs_det(energy)[0] == pytest.approx(dense_log, rel=1e-12, abs=1e-12)
 
 
 class TestEliminate:
@@ -297,7 +315,7 @@ class TestPencilDeterminant:
 
     def test_vanishes_at_eigenvalues(self):
         pencil = box_pencil(5)
-        values, _ = eigen(pencil)
+        values, _ = eigen(pencil, 5)
         for value in values:
             det = det_lu(pencil.matrix(float(value)))
             # Compare against the determinant one gap away for scale.
@@ -318,7 +336,7 @@ class TestBoxSpectrum:
 
     def test_ground_state_converges_to_continuum(self):
         pencil = box_pencil(60)
-        values, _ = eigen(pencil)
+        values, _ = eigen(pencil, 1)
         exact = math.pi**2 / 2.0
         assert abs(values[0] - exact) / exact < 1e-3
 
@@ -328,7 +346,7 @@ class TestBoxSpectrum:
         exact = math.pi**2 / 2.0
 
         def ground_error(n):
-            values, _ = eigen(box_pencil(n))
+            values, _ = eigen(box_pencil(n), 1)
             return abs(values[0] - exact)
 
         ratio = ground_error(40) / ground_error(81)
@@ -340,11 +358,19 @@ class TestEliminatedSpectrum:
 
     @staticmethod
     def measure(pencil, count):
-        t = dense(*eliminate_pencil(pencil))
+        diagonal, offdiagonal = eliminate_pencil(pencil)
+        t = dense(diagonal, offdiagonal)
         norm = np.abs(t).sum(axis=0).max()
         values, vectors = eigen(pencil, count)
-        residual = np.abs(t @ vectors - vectors * values[:count]).max() / norm
+        residual = np.abs(t @ vectors - vectors * values).max() / norm
         orthonormality = np.abs(vectors.conj().T @ vectors - np.eye(count)).max()
+        # Both value kernels, run directly on the unsplit moduli, against eigvalsh of T.
+        reference = np.linalg.eigvalsh(t)[:count]
+        moduli = np.abs(offdiagonal)
+        sturm = linalg._sturm_values(diagonal, moduli, count)
+        lapack = np.linalg.eigvalsh(linalg._symmetric_tridiagonal(diagonal, moduli))[:count]
+        for kernel in (sturm, lapack):
+            assert np.abs(kernel - reference).max() <= 1e-13 * norm
         return values, norm, residual, orthonormality
 
     def test_identical_blocks_split_by_zero_coupling(self):
@@ -398,36 +424,45 @@ class TestAuxiliaryComponent:
 
 class TestRootDistance:
     def test_small_at_eigenvalues_large_between(self):
+        # Rounding level at the levels, far above it between them; the
+        # guard sits in the gap.
+        assert 1e-14 < PENCIL_SINGULARITY_GUARD < 1e-6
         pencil = box_pencil(30)
-        spectrum, _ = eigen(pencil)
+        spectrum, _ = eigen(pencil, 30)
         for value in spectrum:
-            assert pencil_root_distance(pencil, float(value), spectrum) < PENCIL_SINGULARITY_GUARD
+            assert pencil_root_distance(pencil, float(value)) <= 1e-14
         for left, right in zip(spectrum[:-1], spectrum[1:]):
             mid = 0.5 * (left + right)
-            assert pencil_root_distance(pencil, mid, spectrum) > PENCIL_SINGULARITY_GUARD
+            assert pencil_root_distance(pencil, mid) >= 1e-6
 
     def test_harmonic_oscillator_spectrum(self):
         pencil, _ = harmonic_pencil(80)
-        spectrum, _ = eigen(pencil)
+        spectrum, _ = eigen(pencil, 11)
         for value in spectrum[:10]:
-            assert pencil_root_distance(pencil, float(value), spectrum) < PENCIL_SINGULARITY_GUARD
+            assert pencil_root_distance(pencil, float(value)) < PENCIL_SINGULARITY_GUARD
         mid = 0.5 * (spectrum[0] + spectrum[1])
-        assert pencil_root_distance(pencil, mid, spectrum) > PENCIL_SINGULARITY_GUARD
+        assert pencil_root_distance(pencil, mid) > PENCIL_SINGULARITY_GUARD
 
     def test_degenerate_pairs_stay_below_guard(self):
         # Top eigenstates of a symmetric well localize at the two walls
-        # and become numerically exact double eigenvalues; the cluster
-        # handling must keep their root distance at rounding level.
+        # and become numerically exact double eigenvalues; the Newton step
+        # reads half the distance there, still at rounding level.
         pencil, _ = harmonic_pencil(80)
-        spectrum, _ = eigen(pencil)
+        spectrum, _ = eigen(pencil, 80)
         assert np.any(np.diff(spectrum) == 0.0)
         for value in spectrum:
-            assert pencil_root_distance(pencil, float(value), spectrum) < PENCIL_SINGULARITY_GUARD
+            assert pencil_root_distance(pencil, float(value)) <= 1e-14
 
-    def test_spectrum_shape_validated(self):
-        pencil = box_pencil(5)
-        with pytest.raises(ValueError, match="eigenvalues"):
-            pencil_root_distance(pencil, 1.0, np.ones(4))
+    @pytest.mark.parametrize("kind", ["box", "harmonic", "table"])
+    def test_shifted_level_reads_above_guard(self, rng, kind):
+        # An energy off its level by 1e-6 |T|_1 is no root: the guard must see it.
+        pencil = sample_pencil(kind, 60, rng)
+        norm = tridiagonal_norm(*eliminate_pencil(pencil))
+        spectrum, _ = eigen(pencil, 4)
+        for value in spectrum:
+            assert pencil_root_distance(pencil, float(value)) < PENCIL_SINGULARITY_GUARD
+            for shifted in (value - 1e-6 * norm, value + 1e-6 * norm):
+                assert pencil_root_distance(pencil, float(shifted)) > PENCIL_SINGULARITY_GUARD
 
 
 class TestFieldConfig:

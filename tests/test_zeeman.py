@@ -299,30 +299,30 @@ class TestRadialEigenvalues:
     def test_hydrogen_s_levels(self):
         grid = Grid1D(0.0, 40.0, 1200)
         mu = decompose_masses(hydrogen()).reduced
-        values = radial_eigenvalues(0, mu, 1.0, grid)
+        values = radial_eigenvalues(0, mu, 1.0, grid, 2)
         assert abs(values[0] - (-mu / 2.0)) / (mu / 2.0) < 2e-3
         assert abs(values[1] - (-mu / 8.0)) / (mu / 8.0) < 2e-3
 
     def test_p_wave_ground_state(self):
         grid = Grid1D(0.0, 40.0, 1200)
-        values = radial_eigenvalues(1, 1.0, 1.0, grid)
+        values = radial_eigenvalues(1, 1.0, 1.0, grid, 1)
         # Lowest l = 1 state is n = 2 at -1/8.
         assert abs(values[0] - (-0.125)) / 0.125 < 2e-3
 
     def test_values_ascend(self):
         grid = Grid1D(0.0, 30.0, 200)
-        values = radial_eigenvalues(0, 1.0, 1.0, grid)
-        assert np.all(np.diff(values) > 0)
+        values = radial_eigenvalues(0, 1.0, 1.0, grid, 6)
+        assert values.shape == (6,) and np.all(np.diff(values) > 0)
 
     def test_grid_requirements(self):
         with pytest.raises(ValueError, match="coarse"):
-            radial_eigenvalues(0, 1.0, 1.0, Grid1D(0.0, 10.0, 20))
+            radial_eigenvalues(0, 1.0, 1.0, Grid1D(0.0, 10.0, 20), 1)
         with pytest.raises(ValueError, match="r = 0"):
-            radial_eigenvalues(0, 1.0, 1.0, Grid1D(1.0, 10.0, 100))
+            radial_eigenvalues(0, 1.0, 1.0, Grid1D(1.0, 10.0, 100), 1)
         with pytest.raises(ValueError, match="angular"):
-            radial_eigenvalues(-1, 1.0, 1.0, Grid1D(0.0, 10.0, 100))
+            radial_eigenvalues(-1, 1.0, 1.0, Grid1D(0.0, 10.0, 100), 1)
         with pytest.raises(ValueError, match="reduced"):
-            radial_eigenvalues(0, 0.0, 1.0, Grid1D(0.0, 10.0, 100))
+            radial_eigenvalues(0, 0.0, 1.0, Grid1D(0.0, 10.0, 100), 1)
 
 
 def lz_coefficient(system):
