@@ -32,7 +32,6 @@ from .linalg import (
     det_lu,
     logabsdet_lu,
     logabsdet_tridiagonal,
-    null_space,
     schur_factor_check,
     tridiagonal_eigen,
 )
@@ -47,7 +46,6 @@ from .quantize import (
     eliminate_pencil,
     hamiltonian_equivalence_residual,
     kinetic_square_residual,
-    momentum_matrix,
     pencil_root_distance,
     root_distance,
 )
@@ -119,9 +117,7 @@ __all__ = [
     "larmor_frequency",
     "logabsdet_lu",
     "logabsdet_tridiagonal",
-    "momentum_matrix",
     "null_basis",
-    "null_space",
     "null_vector_1d",
     "pauli",
     "pencil_root_distance",

@@ -12,7 +12,8 @@ Four subcommands:
     Discretizes a one-dimensional potential, reports the low eigenvalues
     of the eliminated operator M^H M + diag(V), kept as its two bands, as
     CSV, and cross-checks each one against the determinant of the
-    first-order pencil.
+    first-order pencil: a level whose root distance is not below
+    ``PENCIL_SINGULARITY_GUARD`` fails the run.
 
 ``zeeman``
     Writes the weak-field splitting table for a bound pair of opposite
@@ -56,6 +57,7 @@ from .extham import (
     null_vector_1d,
     random_sample,
     random_sample_1d,
+    rel_err,
 )
 from .linalg import (
     STURM_CROSSOVER,
@@ -270,7 +272,7 @@ def _suite_null_vector_1d(rng: np.random.Generator, trials: int, units: Units) -
 def _suite_determinant_identity(rng: np.random.Generator, trials: int, units: Units) -> float:
     worst = 0.0
     for trial in range(trials):
-        sample = random_sample(rng, trial % 3 + 1, light_speed=units.light_speed)
+        sample = random_sample(rng, trial % 3 + 1, units=units)
         report = determinant_report(sample)
         worst = worse(worst, report.max_rel_err)
     return worst
@@ -300,12 +302,7 @@ def _schur_suite(rng: np.random.Generator, trials: int, residual: Callable[[np.n
 
 
 def _suite_schur_determinant(rng: np.random.Generator, trials: int, units: Units) -> float:
-    def relative_gap(matrix: np.ndarray, split: int) -> float:
-        via_schur = block_det_schur(matrix, split)
-        direct = det_lu(matrix)
-        return abs(via_schur - direct) / max(abs(direct), 1e-6)
-
-    return _schur_suite(rng, trials, relative_gap)
+    return _schur_suite(rng, trials, lambda matrix, split: rel_err(block_det_schur(matrix, split), det_lu(matrix)))
 
 
 def _suite_schur_reconstruction(rng: np.random.Generator, trials: int, units: Units) -> float:
@@ -315,7 +312,7 @@ def _suite_schur_reconstruction(rng: np.random.Generator, trials: int, units: Un
 def _suite_null_spinor_residual(rng: np.random.Generator, trials: int, units: Units) -> float:
     worst = 0.0
     for trial in range(trials):
-        sample = random_sample(rng, trial % 3 + 1, on_shell=True, light_speed=units.light_speed)
+        sample = random_sample(rng, trial % 3 + 1, on_shell=True, units=units)
         matrix = factor_matrix(sample)
         for vector in null_basis(sample):
             worst = worse(worst, relative_residual(matrix @ vector, np.abs(matrix) @ np.abs(vector)))
@@ -351,7 +348,7 @@ def _suite_kinetic_square(rng: np.random.Generator, trials: int, units: Units) -
     worst = 0.0
     for _ in range(trials):
         field = FieldConfig(tuple(rng.normal(size=3)))
-        particle = ParticleSpec(float(rng.uniform(0.4, 2.5)), float(rng.uniform(-1.5, 1.5)))
+        particle = ParticleSpec(float(rng.uniform(0.4, 2.5)), float(rng.uniform(-1.5, 1.5)) * units.charge)
         worst = worse(worst, kinetic_square_residual(field, particle, units=units))
     return worst
 
@@ -373,14 +370,14 @@ def _check_verify_units(units: Units) -> None:
     """Reject a unit system whose draws would overflow, before any draw.
 
     The suites square hbar and q/c.  The determinant identity raises the
-    energy defect to the power 2^N <= 8; its draws take |q| <= 1.5, masses
-    >= 0.4 and standard normal momenta, potentials and energies, which
-    pass 10 in modulus with probability 1.5e-23.  So the defect stays below
-    20 plus 3 x 3 squares of 10 (1 + 1.5/c) over 2 x 0.4, whose 8th power
-    must be finite.
+    energy defect to the power 2^N <= 8; its draws take |q| <= 1.5 units
+    of charge, masses >= 0.4 and standard normal momenta, potentials and
+    energies, which pass 10 in modulus with probability 1.5e-23.  So the
+    defect stays below 20 plus 3 x 3 squares of 10 (1 + |q|/c) over
+    2 x 0.4, whose 8th power must be finite.
     """
-    coupling = units.charge / units.light_speed
-    component = 10.0 * (1.0 + 1.5 / units.light_speed)
+    coupling = 1.5 * units.charge / units.light_speed
+    component = 10.0 * (1.0 + coupling)
     defect = 20.0 + 11.25 * component * component
     if not (math.isfinite(coupling * coupling) and math.isfinite(math.prod([defect] * 8))):
         raise ConfigError(
@@ -513,6 +510,7 @@ def run_solve1d(args: argparse.Namespace) -> int:
     norm = tridiagonal_norm(diagonal, offdiagonal)
 
     rows = []
+    passed = True
     for index in range(count):
         energy = float(values[index])
         hamiltonian_residual = _band_residual(diagonal, offdiagonal, energy, vectors[:, index])
@@ -522,6 +520,8 @@ def run_solve1d(args: argparse.Namespace) -> int:
         log10_det = log_magnitude / math.log(10.0)
         det_cell = "-inf" if math.isinf(log10_det) else repr(log10_det)
         distance = root_distance(slope, norm)
+        # NaN and inf compare false, so they fail too.
+        passed = passed and distance < PENCIL_SINGULARITY_GUARD
         distance_cell = "-inf" if distance == 0.0 else repr(math.log10(distance))
         rows.append((index, repr(energy), repr(hamiltonian_residual), det_cell, distance_cell))
 
@@ -541,7 +541,7 @@ def run_solve1d(args: argparse.Namespace) -> int:
     }
     header = ("index", "energy", "residual", "log10_abs_det_pencil", "log10_root_distance")
     _write_text(_csv_text(metadata, header, rows), args.output)
-    return 0
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .spin import MAX_SITES, spin_dot
-from .units import SPEED_OF_LIGHT
+from .units import ATOMIC, SPEED_OF_LIGHT, Units
 
 DEFAULT_SHELL_TOL = 1e-9
 REL_ERR_FLOOR = 1e-6
@@ -139,15 +139,17 @@ def factor_matrix_1d(s: Sample1D, coeffs: tuple[float, float] | None = None) -> 
     )
 
 
-def null_vector_1d(s: Sample1D, coeff: complex = 1.0, tol: float = DEFAULT_SHELL_TOL) -> np.ndarray:
-    """Null vector (c, -p c / sqrt(2m)) of the on-shell 2x2 factorization."""
+def null_vector_1d(s: Sample1D) -> np.ndarray:
+    """Null vector (1, -p / sqrt(2m)) of the on-shell 2x2 factorization.
+
+    The sample must be on shell within ``DEFAULT_SHELL_TOL``.
+    """
     defect = energy_defect_1d(s)
-    if abs(defect) > tol:
+    if abs(defect) > DEFAULT_SHELL_TOL:
         raise OffShellError(
-            f"sample is off shell: |energy defect| = {abs(defect):.3e} exceeds {tol:.1e}"
+            f"sample is off shell: |energy defect| = {abs(defect):.3e} exceeds {DEFAULT_SHELL_TOL:.1e}"
         )
-    coeff = complex(coeff)
-    return np.array([coeff, -(s.momentum / math.sqrt(2.0 * s.mass)) * coeff])
+    return np.array([1.0, -(s.momentum / math.sqrt(2.0 * s.mass))], dtype=np.complex128)
 
 
 def energy_defect(s: SystemSample) -> float:
@@ -192,7 +194,8 @@ def factor_matrix(s: SystemSample) -> np.ndarray:
     return g
 
 
-def _rel_err(value: complex, target: complex) -> float:
+def rel_err(value: complex, target: complex) -> float:
+    """|value - target| / max(|target|, REL_ERR_FLOOR)."""
     return abs(value - target) / max(abs(target), REL_ERR_FLOOR)
 
 
@@ -205,15 +208,6 @@ class FactorizationReport:
     defect_power: float
     exponent: int
     max_rel_err: float
-
-    def to_dict(self) -> dict:
-        return {
-            "det_direct": [self.det_direct.real, self.det_direct.imag],
-            "det_schur": [self.det_schur.real, self.det_schur.imag],
-            "defect_power": self.defect_power,
-            "exponent": self.exponent,
-            "max_rel_err": self.max_rel_err,
-        }
 
 
 def determinant_report(s: SystemSample) -> FactorizationReport:
@@ -228,7 +222,7 @@ def determinant_report(s: SystemSample) -> FactorizationReport:
     det_direct = linalg.det_lu(g)
     det_schur = linalg.block_det_schur(g, d)
     target = energy_defect(s) ** d
-    err = linalg.worse(_rel_err(det_direct, target), _rel_err(det_schur, target))
+    err = linalg.worse(rel_err(det_direct, target), rel_err(det_schur, target))
     return FactorizationReport(det_direct, det_schur, target, d, err)
 
 
@@ -253,18 +247,18 @@ def determinant_report_1d(
     return FactorizationReport(det_direct, det_schur, target, 1, err)
 
 
-def null_basis(s: SystemSample, tol: float = DEFAULT_SHELL_TOL) -> list[np.ndarray]:
+def null_basis(s: SystemSample) -> list[np.ndarray]:
     """2^N stacked null vectors of the on-shell factorization matrix.
 
     Each vector seeds the leading spinor block with a unit vector and
     propagates it through the kinetic blocks with a sign flip; the top
     block row then evaluates to the energy defect times the seed, so on
-    shell every vector is annihilated.
+    shell (within ``DEFAULT_SHELL_TOL``) every vector is annihilated.
     """
     defect = energy_defect(s)
-    if abs(defect) > tol:
+    if abs(defect) > DEFAULT_SHELL_TOL:
         raise OffShellError(
-            f"sample is off shell: |energy defect| = {abs(defect):.3e} exceeds {tol:.1e}"
+            f"sample is off shell: |energy defect| = {abs(defect):.3e} exceeds {DEFAULT_SHELL_TOL:.1e}"
         )
     d = 2**s.n
     blocks = [kinetic_block(j, s) for j in range(1, s.n + 1)]
@@ -278,18 +272,20 @@ def null_basis(s: SystemSample, tol: float = DEFAULT_SHELL_TOL) -> list[np.ndarr
 
 
 def random_sample(
-    rng: np.random.Generator,
-    n_particles: int,
-    on_shell: bool = False,
-    light_speed: float = SPEED_OF_LIGHT,
+    rng: np.random.Generator, n_particles: int, on_shell: bool = False, units: Units = ATOMIC
 ) -> SystemSample:
-    """Finite random sample; ``on_shell`` pins the energy to the Hamiltonian."""
+    """Finite random sample; ``on_shell`` pins the energy to the Hamiltonian.
+
+    Charges are drawn in [-1.5, 1.5] units of ``units.charge``, masses in
+    [0.4, 2.5] and the rest standard normal.
+    """
     masses = rng.uniform(0.4, 2.5, n_particles)
-    charges = rng.uniform(-1.5, 1.5, n_particles)
+    charges = rng.uniform(-1.5, 1.5, n_particles) * units.charge
     particles = tuple(ParticleSpec(float(m), float(q)) for m, q in zip(masses, charges))
     momenta = rng.normal(size=(n_particles, 3))
     potentials = rng.normal(size=(n_particles, 3))
     scalar = float(rng.normal())
+    light_speed = units.light_speed
     kinetic = sum(
         float(np.dot(p - q / light_speed * a, p - q / light_speed * a)) / (2.0 * m)
         for p, a, m, q in zip(momenta, potentials, masses, charges)

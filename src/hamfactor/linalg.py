@@ -1,14 +1,15 @@
-"""Dense complex linear algebra for verification-grade problems.
+"""Dense and banded linear algebra for verification-grade problems.
 
-All routines operate on plain numpy arrays with ``complex128`` entries
-and are sized for desk-scale matrices.  Determinants and null spaces use
-explicit elimination so pivoting and rank decisions stay visible.
-Tridiagonal matrices have their own kernels: an O(n) banded
-elimination for real symmetric log-determinants and their derivative,
-and a Hermitian eigensolver for the lowest levels, which takes their
-values from Sturm counts on large blocks and from LAPACK's values-only
-path on small ones, and computes each eigenvector in O(n) by inverse
-iteration.
+The dense routines take plain numpy matrices, compute in ``complex128``
+and are sized for desk-scale problems.  Determinants use explicit
+pivoted elimination, so the pivots stay visible; the block routines
+eliminate a trailing block through its inverse.
+Real symmetric and Hermitian tridiagonal matrices have their own kernels,
+which take the bands and never form the matrix: an O(n) banded
+elimination for log-determinants and their derivative, and an
+eigensolver for the lowest levels, which takes their values from Sturm
+counts on large blocks and from LAPACK's values-only path on small ones,
+and computes each eigenvector in O(n) by inverse iteration.
 ``worse`` is the NaN-keeping maximum that every residual in the package
 folds with; ``relative_residual`` scales a gap by the terms behind it.
 """
@@ -21,14 +22,13 @@ import math
 import numpy as np
 
 CONDITION_LIMIT = 1e12
-NULL_SPACE_TOL = 1e-10
 
 
 class SingularBlockError(ArithmeticError):
-    """Trailing block too ill-conditioned for the block determinant path.
+    """Trailing block too ill-conditioned for the block routines.
 
-    Callers catching this should fall back to ``det_lu`` on the full
-    matrix.
+    Its 1-norm condition estimate is above ``CONDITION_LIMIT``, or it is
+    singular.  The ``verify`` Schur suites skip such a draw.
     """
 
 
@@ -470,32 +470,32 @@ def _split_blocks(a: np.ndarray, k: int):
     return a[:k, :k], a[:k, k:], a[k:, :k], a[k:, k:]
 
 
-def _inverse_checked(d: np.ndarray, cond_limit: float) -> np.ndarray:
+def _inverse_checked(d: np.ndarray) -> np.ndarray:
     try:
         d_inv = np.linalg.inv(d)
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError("trailing block is singular") from exc
     cond = np.linalg.norm(d, 1) * np.linalg.norm(d_inv, 1)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularBlockError(
-            f"trailing block condition estimate {cond:.3e} exceeds limit {cond_limit:.1e}"
+            f"trailing block condition estimate {cond:.3e} exceeds limit {CONDITION_LIMIT:.1e}"
         )
     return d_inv
 
 
-def block_det_schur(m, k: int, cond_limit: float = CONDITION_LIMIT) -> complex:
+def block_det_schur(m, k: int) -> complex:
     """Determinant through the identity |M| = |D| * |A - B D^-1 C|.
 
     ``k`` is the leading block size; D is the trailing (n-k) x (n-k)
     block and must be comfortably nonsingular (1-norm condition estimate
-    below ``cond_limit``), otherwise ``SingularBlockError`` is raised.
+    below ``CONDITION_LIMIT``), otherwise ``SingularBlockError`` is raised.
     """
     a, b, c, d = _split_blocks(as_complex_matrix(m), k)
-    d_inv = _inverse_checked(d, cond_limit)
+    d_inv = _inverse_checked(d)
     return det_lu(d) * det_lu(a - b @ d_inv @ c)
 
 
-def schur_factor_check(m, k: int, cond_limit: float = CONDITION_LIMIT) -> float:
+def schur_factor_check(m, k: int) -> float:
     """Relative residual of the three-factor block identity.
 
     Reconstructs ``U diag(A - B D^-1 C, D) L`` with U unit upper block
@@ -507,55 +507,9 @@ def schur_factor_check(m, k: int, cond_limit: float = CONDITION_LIMIT) -> float:
     """
     m = as_complex_matrix(m)
     a, b, c, d = _split_blocks(m, k)
-    d_inv = _inverse_checked(d, cond_limit)
+    d_inv = _inverse_checked(d)
     eye, zero = np.eye(k), np.zeros((k, len(d)))
     upper = np.block([[eye, b @ d_inv], [zero.T, np.eye(len(d))]])
     middle = np.block([[a - b @ d_inv @ c, zero], [zero.T, d]])
     lower = np.block([[eye, zero], [d_inv @ c, np.eye(len(d))]])
     return relative_residual(m - upper @ middle @ lower, np.abs(upper) @ np.abs(middle) @ np.abs(lower))
-
-
-def null_space(m, tol: float = NULL_SPACE_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical null space of ``m``.
-
-    Row reduction with full pivoting; elimination stops once the largest
-    remaining entry drops below ``tol`` times the largest entry of the
-    original matrix.  Free columns yield the basis, which is then
-    orthonormalized.  A numerically nonsingular matrix returns ``[]``.
-    """
-    a = as_complex_matrix(m).copy()
-    rows, cols = a.shape
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    identity = np.eye(cols, dtype=np.complex128)
-    if scale == 0.0:
-        return [identity[:, j] for j in range(cols)]
-
-    perm = np.arange(cols)
-    rank = 0
-    limit = min(rows, cols)
-    while rank < limit:
-        sub = np.abs(a[rank:, rank:])
-        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if sub[i, j] <= tol * scale:
-            break
-        if i != 0:
-            a[[rank, rank + i]] = a[[rank + i, rank]]
-        if j != 0:
-            a[:, [rank, rank + j]] = a[:, [rank + j, rank]]
-            perm[[rank, rank + j]] = perm[[rank + j, rank]]
-        a[rank] /= a[rank, rank]
-        others = [r for r in range(rows) if r != rank]
-        a[others] -= np.outer(a[others, rank], a[rank])
-        rank += 1
-
-    nfree = cols - rank
-    if nfree == 0:
-        return []
-
-    stacked = np.vstack(
-        [-a[:rank, rank:], np.eye(nfree, dtype=np.complex128)]
-    )
-    vectors = np.zeros_like(stacked)
-    vectors[perm] = stacked  # undo the column permutation
-    q, _ = np.linalg.qr(vectors)
-    return [q[:, j] for j in range(nfree)]

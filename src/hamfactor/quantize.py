@@ -58,11 +58,6 @@ class Grid1D:
         return self.x_min + self.h * np.arange(1, self.n + 1)
 
 
-def momentum_matrix(grid: Grid1D, mass: float, hbar: float = 1.0) -> np.ndarray:
-    """Dense (n + 1) x n staggered momentum of ``coupled_pencil``, scaled by 1/sqrt(2m)."""
-    return coupled_pencil(grid, np.zeros(grid.n), mass, hbar).momentum
-
-
 @dataclass(frozen=True, eq=False)
 class Pencil1D:
     """Energy-linear Hermitian pencil coupling a state to its momentum image.

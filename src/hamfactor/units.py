@@ -1,9 +1,10 @@
 """Working unit constants.
 
-Atomic-style conventions: hbar, the elementary charge and the electron
-mass are all 1 by default, and the speed of light is the inverse
-fine-structure constant.  Every physics routine threads a ``Units``
-instance so alternative conventions stay a one-line change.
+Atomic-style conventions: hbar and the elementary charge are 1 by
+default, and the speed of light is the inverse fine-structure constant.
+Masses are numbers in units of the electron mass; no formula needs the
+mass constant itself, so it is not kept.  Every physics routine threads a
+``Units`` instance so alternative conventions stay a one-line change.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ SPEED_OF_LIGHT = 137.035999
 class Units:
     hbar: float = 1.0
     charge: float = 1.0
-    electron_mass: float = 1.0
     light_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):

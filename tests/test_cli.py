@@ -63,12 +63,7 @@ class TestVerify:
         assert report["metadata"]["command"] == "verify"
         assert report["metadata"]["seed"] == 42
         assert report["metadata"]["trials"] == 5
-        assert set(report["metadata"]["units"]) == {
-            "hbar",
-            "charge",
-            "electron_mass",
-            "light_speed",
-        }
+        assert set(report["metadata"]["units"]) == {"hbar", "charge", "light_speed"}
         names = [check["name"] for check in report["checks"]]
         assert names == list(DEFAULT_TOLERANCES)
         for check in report["checks"]:
@@ -203,6 +198,20 @@ class TestVerify:
                 assert value < tolerance
                 assert base / 10 <= value <= 10 * base
 
+    @pytest.mark.parametrize("name", list(DEFAULT_TOLERANCES))
+    def test_every_check_in_any_unit_of_charge(self, name):
+        # The draws take charges in units of units.charge, so every check
+        # passes and reads within 10x of the default-units value either
+        # way; a value of exactly 0 is read against one unit roundoff.
+        tolerance = DEFAULT_TOLERANCES[name]
+        base = self.suite(name, 42, 20, Units())
+        assert base < tolerance
+        floor = max(base, np.finfo(float).eps)
+        for charge in (1e-10, 1e10):
+            value = self.suite(name, 42, 20, Units(charge=charge))
+            assert value < tolerance
+            assert base / 10 <= value <= 10 * floor
+
     @pytest.mark.parametrize("seed, trials", [(1282, 20), (147, 100)])
     def test_schur_reconstruction_passes_at_seeds_with_large_corners(self, seed, trials):
         # These draws have B D^-1 or D^-1 C far above max|M|; divided by
@@ -212,7 +221,7 @@ class TestVerify:
     def test_perturbed_schur_factor_fails_its_check(self, monkeypatch):
         tolerance = DEFAULT_TOLERANCES["schur_reconstruction"]
         real = linalg._inverse_checked
-        monkeypatch.setattr(linalg, "_inverse_checked", lambda d, limit: real(d, limit) * (1.0 + 100 * tolerance))
+        monkeypatch.setattr(linalg, "_inverse_checked", lambda d: real(d) * (1.0 + 100 * tolerance))
         assert self.suite("schur_reconstruction", 42, 20, Units()) > 10 * tolerance
 
     @pytest.mark.parametrize("light_speed", [1e-10, 1.0, 1e10])
@@ -353,6 +362,31 @@ class TestSolve1d:
         config = write_config(tmp_path, {"potential": "harmonic", "n": 90, "count": 7})
         assert run("solve1d", "--config", config, "--output", out) == 0
         assert calls == [2 * 90 + 1] * 7
+
+    def test_shifted_level_fails_the_run(self, tmp_path, monkeypatch):
+        # One level moved half way to the next is no root of the pencil:
+        # the run exits 1 and still writes the report, with that level's
+        # root distance above the guard.
+        real = cli.tridiagonal_eigen
+
+        def shifted(diagonal, offdiagonal, count):
+            values, vectors = real(diagonal, offdiagonal, count)
+            values[3] += 0.5 * (values[4] - values[3])
+            return values, vectors
+
+        monkeypatch.setattr(cli, "tridiagonal_eigen", shifted)
+        out = tmp_path / "shifted.csv"
+        assert run("solve1d", "--preset", "harmonic", "--n", 200, "--output", out) == 1
+        metadata, _, rows = read_csv_report(out)
+        guard = float(metadata["singularity_guard_log10"])
+        assert [float(row[4]) >= guard for row in rows] == [index == 3 for index in range(12)]
+
+    @pytest.mark.parametrize("distance", [math.inf, math.nan])
+    def test_unmeasurable_root_distance_fails_the_run(self, tmp_path, monkeypatch, distance):
+        monkeypatch.setattr(cli, "root_distance", lambda slope, norm: distance)
+        out = tmp_path / "levels.csv"
+        assert run("solve1d", "--preset", "box", "--n", 30, "--output", out) == 1
+        assert len(read_csv_report(out)[2]) == 12
 
     def test_oversized_grid_rejected_before_allocation(self, capsys):
         # The documented bound: n up to 1001624 fits the limit at the default 12 levels.
@@ -603,6 +637,10 @@ class TestArgumentHandling:
             ("verify", {"units": {"hbar": 1e200}}, "units.hbar = 1e+200"),
             # (q/c)^2 is finite here, but the 8th power of the draws' energy defect is not.
             ("verify", {"units": {"light_speed": 1e-150}}, "units.light_speed = 1e-150"),
+            # The draws' |q|/c reaches 1.5 units.charge / units.light_speed.
+            ("verify", {"units": {"charge": 1e10, "light_speed": 1e-10}}, "units.charge = 10000000000.0"),
+            # No formula reads a mass unit, so none is accepted.
+            ("verify", {"units": {"electron_mass": 1.0}}, "unknown units key(s): 'electron_mass'"),
         ],
     )
     def test_rejected_values_exit_2_without_report(self, tmp_path, capsys, command, config, fragment):

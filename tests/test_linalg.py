@@ -13,7 +13,6 @@ from hamfactor.linalg import (
     det_lu,
     logabsdet_lu,
     logabsdet_tridiagonal,
-    null_space,
     relative_residual,
     schur_factor_check,
     tridiagonal_eigen,
@@ -213,7 +212,7 @@ class TestBlockDetSchur:
         m = np.eye(4, dtype=complex)
         m[2, 2] = 1e-15
         with pytest.raises(SingularBlockError, match="condition"):
-            block_det_schur(m, 2, cond_limit=1e12)
+            block_det_schur(m, 2)
 
     def test_invalid_split_rejected(self, rng):
         m = random_complex(rng, 4)
@@ -250,7 +249,7 @@ class TestSchurFactorCheck:
     def test_perturbed_factor_fails(self, rng, monkeypatch):
         # D^-1 off by 100x the tolerance, relative: every factorization fails.
         real = linalg._inverse_checked
-        monkeypatch.setattr(linalg, "_inverse_checked", lambda d, limit: real(d, limit) * (1.0 + 100 * self.TOLERANCE))
+        monkeypatch.setattr(linalg, "_inverse_checked", lambda d: real(d) * (1.0 + 100 * self.TOLERANCE))
         for size in (4, 6, 9, 12):
             m = random_complex(rng, size)
             for split in range(1, size):
@@ -269,47 +268,6 @@ class TestRelativeResidual:
         assert math.isnan(relative_residual([1.0, 1.0], [1.0, math.nan]))
         with pytest.warns(RuntimeWarning, match="invalid"):
             assert math.isnan(relative_residual([math.inf, 1.0], [math.inf, 1.0]))
-
-
-class TestNullSpace:
-    def test_nonsingular_matrix_has_empty_basis(self, rng):
-        m = random_complex(rng, 5) + 5 * np.eye(5)
-        assert null_space(m) == []
-
-    def test_zero_matrix_returns_full_basis(self):
-        basis = null_space(np.zeros((3, 4)))
-        assert len(basis) == 4
-        gram = np.array([[u.conj() @ v for v in basis] for u in basis])
-        assert np.abs(gram - np.eye(4)).max() <= 1e-12
-
-    def test_rank_one_matrix(self, rng):
-        u = rng.normal(size=6) + 1j * rng.normal(size=6)
-        v = rng.normal(size=6) + 1j * rng.normal(size=6)
-        m = np.outer(u, v)
-        basis = null_space(m)
-        assert len(basis) == 5
-        for vec in basis:
-            assert np.abs(m @ vec).max() <= 1e-10 * np.abs(m).max()
-
-    def test_constructed_rank_deficiency(self, rng):
-        # Stack r independent rows and 4 - r dependent copies: nullity 6 - r.
-        for rank in (1, 2, 3):
-            rows = random_complex(rng, rank, 6)
-            extra = rng.normal(size=(4 - rank, rank)) @ rows
-            m = np.vstack([rows, extra])
-            basis = null_space(m)
-            assert len(basis) == 6 - rank
-            stacked = np.column_stack(basis)
-            gram = stacked.conj().T @ stacked
-            assert np.abs(gram - np.eye(6 - rank)).max() <= 1e-12
-            assert np.abs(m @ stacked).max() <= 1e-9 * np.abs(m).max()
-
-    def test_rectangular_wide_matrix(self, rng):
-        m = random_complex(rng, 2, 5)
-        basis = null_space(m)
-        assert len(basis) == 3
-        for vec in basis:
-            assert np.abs(m @ vec).max() <= 1e-11 * np.abs(m).max()
 
 
 def hermitian_tridiagonal(diagonal, offdiagonal):
@@ -427,6 +385,28 @@ class TestTridiagonalEigen:
             value_gap, residual, orthonormality = check_eigenpairs(diagonal, offdiagonal, diagonal.size)
             assert value_gap <= 1e-13 and residual <= 1e-13 and orthonormality <= 1e-12
             assert max(kernel_value_gaps(diagonal, offdiagonal, diagonal.size)) <= 1e-13
+
+    def test_sturm_count_agrees_with_ldl_pivots(self, rng):
+        # The two kernels run the same L D L^T recurrence, kept apart for
+        # speed: at any shift their negative pivots must agree, with the
+        # same +-eps guard.  Shifts at diagonal entries make pivots of
+        # exactly 0 that the guard raises.
+        wilkinson = np.abs(np.arange(21) - 10.0)
+        glue = np.ones(3 * 21 - 1)
+        glue[20::21] = 1e-10
+        integer = rng.integers(-3, 4, size=40).astype(float)
+        graded = [rng.normal(size=size) * 10.0 ** rng.uniform(-8.0, 8.0, size) for size in (89, 88)]
+        matrices = [(rng.normal(size=60), rng.normal(size=59)), graded, (np.tile(wilkinson, 3), glue), (integer, np.ones(39))]
+        for diagonal, offdiagonal in matrices:
+            d, e2 = diagonal.tolist(), [0.0, *(offdiagonal * offdiagonal).tolist()]
+            spectrum = np.linalg.eigvalsh(linalg._symmetric_tridiagonal(diagonal, offdiagonal))
+            span = spectrum[-1] - spectrum[0]
+            inside = rng.uniform(spectrum[0] - 0.1 * span, spectrum[-1] + 0.1 * span, 40)
+            for shift in [*inside, *spectrum[::7], *diagonal[:10]]:
+                negatives, _ = linalg._sturm_count(d, e2, float(shift))
+                pivots = linalg._ldl_pivots(d, e2, float(shift))
+                assert negatives == sum(pivot < 0.0 for pivot in pivots)
+                assert all(abs(pivot) >= linalg._EPS for pivot in pivots)
 
     def test_extreme_scales(self):
         for scale in (1e-300, 1e300):

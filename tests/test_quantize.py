@@ -22,7 +22,6 @@ from hamfactor import (
     eliminate_pencil,
     hamiltonian_equivalence_residual,
     kinetic_square_residual,
-    momentum_matrix,
     pencil_root_distance,
     random_polynomial,
     tridiagonal_eigen,
@@ -37,6 +36,11 @@ from hamfactor.spin import MAX_SITES
 def box_pencil(n, mass=1.0, hbar=1.0):
     grid = Grid1D(0.0, 1.0, n)
     return coupled_pencil(grid, np.zeros(n), mass, hbar)
+
+
+def momentum_matrix(grid, mass, hbar=1.0):
+    """The dense staggered momentum of ``coupled_pencil`` on the grid."""
+    return coupled_pencil(grid, np.zeros(grid.n), mass, hbar).momentum
 
 
 def box_spectrum(n, mass=1.0, hbar=1.0, width=1.0):
