@@ -31,11 +31,10 @@ from .linalg import (
     block_det_schur,
     det_lu,
     logabsdet_lu,
-    logabsdet_tridiagonal,
     schur_factor_check,
     tridiagonal_eigen,
 )
-from .polynomials import Polynomial, random_polynomial, weyl_product
+from .polynomials import Polynomial, weyl_product
 from .quantize import (
     PENCIL_SINGULARITY_GUARD,
     FieldConfig,
@@ -116,14 +115,12 @@ __all__ = [
     "lamb_g_factor",
     "larmor_frequency",
     "logabsdet_lu",
-    "logabsdet_tridiagonal",
     "null_basis",
     "null_vector_1d",
     "pauli",
     "pencil_root_distance",
     "product_identity_residual",
     "radial_eigenvalues",
-    "random_polynomial",
     "random_sample",
     "random_sample_1d",
     "root_distance",

@@ -117,6 +117,12 @@ SOLVE1D_PRESETS = ("box", "harmonic")
 #: at the default 12 levels and zeeman n_max up to 146.
 MAX_WORKING_BYTES = 2 * 1024**3
 
+#: Most trials per verify suite, 10^4 times the default.  One trial of the
+#: nine suites takes about 3 ms (``verify --seed 42 --trials 100`` on a
+#: 2-core x86-64 host), so the limit admits runs of about an hour.  A
+#: larger count is rejected before any draw.
+MAX_TRIALS = 1_000_000
+
 #: Grids below this interior point count are flagged "coarse" in metadata.
 COARSE_GRID_LIMIT = 50
 
@@ -392,6 +398,8 @@ def run_verify(args: argparse.Namespace) -> int:
     settings = _settings(args)
     seed = _require_int(settings.get("seed", 42), "seed", 0)
     trials = _require_int(settings.get("trials", 100), "trials", 1)
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"trials must be <= {MAX_TRIALS:,}, got {trials:,}")
     tolerances = _tolerances_from_config(settings.get("tolerances"))
     units = _units_from_config(settings.get("units"))
     _check_verify_units(units)

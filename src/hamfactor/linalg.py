@@ -4,12 +4,11 @@ The dense routines take plain numpy matrices, compute in ``complex128``
 and are sized for desk-scale problems.  Determinants use explicit
 pivoted elimination, so the pivots stay visible; the block routines
 eliminate a trailing block through its inverse.
-Real symmetric and Hermitian tridiagonal matrices have their own kernels,
-which take the bands and never form the matrix: an O(n) banded
-elimination for log-determinants and their derivative, and an
-eigensolver for the lowest levels, which takes their values from Sturm
-counts on large blocks and from LAPACK's values-only path on small ones,
-and computes each eigenvector in O(n) by inverse iteration.
+Hermitian tridiagonal matrices have their own eigensolver, which takes
+the bands and never forms the matrix: it takes the values of the lowest
+levels from Sturm counts on large blocks and from LAPACK's values-only
+path on small ones, and computes each eigenvector in O(n) by inverse
+iteration.
 ``worse`` is the NaN-keeping maximum that every residual in the package
 folds with; ``relative_residual`` scales a gap by the terms behind it.
 """
@@ -125,64 +124,6 @@ def logabsdet_lu(m) -> tuple[float, complex]:
         log_abs += math.log(abs(pivot))
         phase *= pivot / abs(pivot)
     return log_abs, phase
-
-
-def logabsdet_tridiagonal(diagonal, offdiagonal, rate) -> tuple[float, float, float]:
-    """``(log|det T|, sign, slope)`` of a real symmetric tridiagonal matrix T.
-
-    ``diagonal`` holds the n diagonal entries and ``offdiagonal`` the
-    n - 1 entries beside them.  ``slope`` is d log|det T(t)| / dt at t = 0
-    for T(t) = T + t diag(rate), the sum of pivot' / pivot.  Elimination
-    pivots like LAPACK ?gttrf: at each step the row with the larger entry
-    in the pivot column leads, so a row swap gives U a second
-    superdiagonal.  Only the two live entries of the row being reduced are
-    kept, with their derivatives along ``rate`` by the product and
-    quotient rules, so the cost is O(n) and no matrix is formed.  An
-    exactly singular matrix returns ``(-inf, 0, inf)``.
-    """
-    d = np.asarray(diagonal, dtype=float)
-    off = np.asarray(offdiagonal, dtype=float)
-    r = np.asarray(rate, dtype=float)
-    if d.ndim != 1 or off.shape != (max(d.size - 1, 0),) or r.shape != d.shape:
-        raise ValueError(
-            f"need n diagonal, n - 1 off-diagonal and n rate entries, got shapes {d.shape}, {off.shape} and {r.shape}"
-        )
-    if not (np.isfinite(d).all() and np.isfinite(off).all() and np.isfinite(r).all()):
-        raise ValueError("matrix entries must be finite")
-    if d.size == 0:
-        return 0.0, 1.0, 0.0
-    off = off.tolist() + [0.0]
-    pivots = []
-    slope = 0.0
-    swaps = 0
-    # Row i is (lead, upper) in columns i, i + 1; row i + 1 is
-    # (below, diag, beyond) in columns i .. i + 2.  Off-diagonal entries
-    # do not move with t, so a swapped-in pivot has derivative 0.
-    lead, upper = float(d[0]), off[0]
-    lead_rate, upper_rate = float(r[0]), 0.0
-    for below, diag, diag_rate, beyond in zip(off, d[1:].tolist(), r[1:].tolist(), off[1:]):
-        if abs(lead) >= abs(below):
-            if lead == 0.0:
-                return -math.inf, 0.0, math.inf
-            pivots.append(lead)
-            share = lead_rate / lead
-            slope += share
-            factor = below / lead
-            lead, lead_rate = diag - factor * upper, diag_rate - factor * (upper_rate - upper * share)
-            upper, upper_rate = beyond, 0.0
-        else:
-            pivots.append(below)
-            factor, factor_rate = lead / below, lead_rate / below
-            lead, lead_rate = upper - factor * diag, upper_rate - factor_rate * diag - factor * diag_rate
-            upper, upper_rate = -factor * beyond, -factor_rate * beyond
-            swaps += 1
-    if lead == 0.0:
-        return -math.inf, 0.0, math.inf
-    pivots.append(lead)
-    slope += lead_rate / lead
-    p = np.array(pivots)
-    negatives = swaps + int(np.count_nonzero(p < 0.0))
-    return float(np.log(np.abs(p)).sum()), -1.0 if negatives % 2 else 1.0, slope
 
 
 def tridiagonal_norm(diagonal, offdiagonal) -> float:

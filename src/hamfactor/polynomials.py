@@ -196,24 +196,6 @@ class Polynomial:
         return f"Polynomial(nvars={self.nvars}, terms={len(self.coeffs)}, degree={self.degree()})"
 
 
-def random_polynomial(
-    rng: np.random.Generator,
-    nvars: int,
-    max_degree: int,
-    max_terms: int = 12,
-) -> Polynomial:
-    """Sparse random polynomial: up to ``max_terms`` monomials of total degree <= ``max_degree``."""
-    data: dict[tuple[int, ...], complex] = {}
-    for _ in range(int(rng.integers(1, max_terms + 1))):
-        degree = int(rng.integers(0, max_degree + 1))
-        exps = [0] * nvars
-        for _ in range(degree):
-            exps[int(rng.integers(0, nvars))] += 1
-        key = tuple(exps)
-        data[key] = data.get(key, 0.0j) + complex(rng.normal(), rng.normal())
-    return Polynomial(nvars, data)
-
-
 def weyl_product(a: Polynomial, b: Polynomial) -> Polynomial:
     """Product a b of two normal-ordered operators over 2m variables.
 

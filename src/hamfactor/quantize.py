@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import logabsdet_tridiagonal, relative_residual, tridiagonal_norm
+from .linalg import relative_residual, tridiagonal_norm
 from .polynomials import Polynomial, weyl_product
 from .spin import embed_spin, spin_dot
 from .units import ATOMIC, Units
@@ -117,25 +118,77 @@ class Pencil1D:
         g[n:, n:] = np.eye(n + 1)
         return g
 
+    @cached_property
+    def _moduli(self) -> tuple[list[float], list[float]]:
+        """``|a_k|`` and ``|b_k|`` of the momentum bands, as Python floats."""
+        return np.abs(self.diagonal).tolist(), np.abs(self.subdiagonal).tolist()
+
     def log_abs_det(self, energy: float) -> tuple[float, float]:
-        """``(log|det G(E)|, d log|det G(E)| / dE)`` from one O(n) banded factorization.
+        """``(log|det G(E)|, d log|det G(E)| / dE)`` from one O(n) pivoted elimination.
 
         Ordering rows and columns as psi2_0, psi1_0, psi2_1, psi1_1, ...,
         psi2_n makes G(E) tridiagonal with diagonal 1, E - V_0, 1, ..., 1
         and off-diagonal M_00, M_10, M_11, M_21, ...; a diagonal unitary
         similarity then turns the off-diagonal into its moduli.  Neither
-        step changes the determinant.  Only the E - V_j entries move with
-        E, so the factorization carries the derivative along them.
+        step changes the determinant.  The elimination runs on that real
+        matrix, two rows at a time, and pivots like LAPACK ?gttrf: at each
+        step the row with the larger entry in the pivot column leads, so a
+        row swap gives U a second superdiagonal.  Only the two live entries
+        of the leading row are kept, with their derivatives along E by the
+        product and quotient rules; only the E - V_k entries move with E.
+        The slope is the sum of pivot' / pivot.  An exactly singular pencil
+        returns ``(-inf, inf)``.
         """
-        diagonal = np.ones(self.size)
-        diagonal[1::2] = energy - self.potential
-        rate = np.zeros(self.size)
-        rate[1::2] = 1.0
-        offdiagonal = np.empty(2 * self.n)
-        offdiagonal[0::2] = np.abs(self.diagonal)
-        offdiagonal[1::2] = np.abs(self.subdiagonal)
-        log_abs, _, slope = logabsdet_tridiagonal(diagonal, offdiagonal, rate)
-        return log_abs, slope
+        shifted = energy - self.potential
+        if not np.isfinite(shifted).all():
+            raise ValueError(f"E - V must be finite, got energy {energy!r}")
+        moduli_a, moduli_b = self._moduli
+        pivots = []
+        slope = 0.0
+        # The leading row is (lead, upper) in columns i, i + 1; the row below
+        # it is (modulus, diagonal, next modulus) in columns i .. i + 2.  The
+        # moduli do not move with E, so a swapped-in pivot has derivative 0.
+        # ``lead >= m or lead <= -m`` is ``abs(lead) >= m`` for the modulus m,
+        # NaN included.  A diagonal 1 drops its product (exact); a rate 0
+        # drops its term, which changes no pivot and no bit of the slope.
+        lead, upper = 1.0, moduli_a[0] if moduli_a else 0.0
+        lead_rate = upper_rate = 0.0
+        for shift, a, b, a_next in zip(shifted.tolist(), moduli_a, moduli_b, moduli_a[1:] + [0.0]):
+            # Row psi1_k: (a, E - V_k, b), with rate 1 on the diagonal.
+            if lead >= a or lead <= -a:
+                if lead == 0.0:
+                    return -math.inf, math.inf
+                pivots.append(lead)
+                share = lead_rate / lead
+                slope += share
+                factor = a / lead
+                lead, lead_rate = shift - factor * upper, 1.0 - factor * (upper_rate - upper * share)
+                upper, upper_rate = b, 0.0
+            else:
+                pivots.append(a)
+                factor, factor_rate = lead / a, lead_rate / a
+                lead, lead_rate = upper - factor * shift, upper_rate - factor_rate * shift - factor
+                upper, upper_rate = -factor * b, -factor_rate * b
+            # Row psi2_(k+1): (b, 1, a_(k+1)), with rate 0 on the diagonal.
+            if lead >= b or lead <= -b:
+                if lead == 0.0:
+                    return -math.inf, math.inf
+                pivots.append(lead)
+                share = lead_rate / lead
+                slope += share
+                factor = b / lead
+                lead, lead_rate = 1.0 - factor * upper, -factor * (upper_rate - upper * share)
+                upper, upper_rate = a_next, 0.0
+            else:
+                pivots.append(b)
+                factor, factor_rate = lead / b, lead_rate / b
+                lead, lead_rate = upper - factor, upper_rate - factor_rate
+                upper, upper_rate = -factor * a_next, -factor_rate * a_next
+        if lead == 0.0:
+            return -math.inf, math.inf
+        pivots.append(lead)
+        slope += lead_rate / lead
+        return float(np.log(np.abs(np.array(pivots))).sum()), slope
 
 
 def coupled_pencil(grid: Grid1D, potential, mass: float, hbar: float = 1.0) -> Pencil1D:

@@ -17,7 +17,7 @@ import pytest
 
 from hamfactor import FieldConfig, ParticleSpec, Units, cli, linalg, quantize
 from hamfactor.cli import DEFAULT_TOLERANCES, MAX_WORKING_BYTES, main, solve1d_bytes, zeeman_bytes
-from hamfactor.linalg import SingularBlockError, logabsdet_tridiagonal
+from hamfactor.linalg import SingularBlockError
 
 
 def run(*args):
@@ -352,12 +352,13 @@ class TestSolve1d:
 
     def test_one_banded_factorization_per_level(self, tmp_path, monkeypatch):
         calls = []
+        real = quantize.Pencil1D.log_abs_det
 
-        def counting(diagonal, offdiagonal, rate):
-            calls.append(len(diagonal))
-            return logabsdet_tridiagonal(diagonal, offdiagonal, rate)
+        def counting(pencil, energy):
+            calls.append(pencil.size)
+            return real(pencil, energy)
 
-        monkeypatch.setattr(quantize, "logabsdet_tridiagonal", counting)
+        monkeypatch.setattr(quantize.Pencil1D, "log_abs_det", counting)
         out = tmp_path / "levels.csv"
         config = write_config(tmp_path, {"potential": "harmonic", "n": 90, "count": 7})
         assert run("solve1d", "--config", config, "--output", out) == 0
@@ -641,12 +642,14 @@ class TestArgumentHandling:
             ("verify", {"units": {"charge": 1e10, "light_speed": 1e-10}}, "units.charge = 10000000000.0"),
             # No formula reads a mass unit, so none is accepted.
             ("verify", {"units": {"electron_mass": 1.0}}, "unknown units key(s): 'electron_mass'"),
+            # A trial count above MAX_TRIALS is rejected before any draw.
+            ("verify", {"trials": 1_000_001}, "trials must be <= 1,000,000, got 1,000,001"),
         ],
     )
     def test_rejected_values_exit_2_without_report(self, tmp_path, capsys, command, config, fragment):
         path = write_config(tmp_path, config)
         out = tmp_path / "report.txt"
-        trials = ("--trials", 2) if command == "verify" else ()
+        trials = ("--trials", 2) if command == "verify" and "trials" not in config else ()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run(command, "--config", path, *trials, "--output", out) == 2

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamfactor.polynomials import Polynomial, random_polynomial, weyl_product
+from hamfactor.polynomials import Polynomial, weyl_product
+from reference import random_polynomial
 
 
 def poly_strategy(nvars=2, max_degree=3):

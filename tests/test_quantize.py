@@ -23,14 +23,14 @@ from hamfactor import (
     hamiltonian_equivalence_residual,
     kinetic_square_residual,
     pencil_root_distance,
-    random_polynomial,
     tridiagonal_eigen,
     weyl_product,
 )
 from hamfactor import linalg
-from hamfactor.linalg import logabsdet_lu, logabsdet_tridiagonal, tridiagonal_norm
+from hamfactor.linalg import logabsdet_lu, tridiagonal_norm
 from hamfactor.quantize import _particle_terms
 from hamfactor.spin import MAX_SITES
+from reference import logabsdet_tridiagonal, pencil_log_abs_det, random_polynomial
 
 
 def box_pencil(n, mass=1.0, hbar=1.0):
@@ -279,6 +279,88 @@ class TestBandedPencil:
         for energy in (-3.0, 0.4, 9.0):
             dense_log, _ = logabsdet_lu(pencil.matrix(energy))
             assert pencil.log_abs_det(energy)[0] == pytest.approx(dense_log, rel=1e-12, abs=1e-12)
+            assert pencil.log_abs_det(energy) == pencil_log_abs_det(pencil, energy)
+
+
+def assert_matches_reference(pencil, energies):
+    """``log_abs_det`` equals the reference elimination exactly, NaN wherever the reference reads NaN."""
+    for energy in map(float, energies):
+        got, want = pencil.log_abs_det(energy), pencil_log_abs_det(pencil, energy)
+        for value, expected in zip(got, want):
+            assert value == expected or (math.isnan(expected) and math.isnan(value)), (energy, got, want)
+
+
+class TestPencilElimination:
+    """``Pencil1D.log_abs_det`` repeats the reference elimination bit for bit, and its behaviour."""
+
+    @pytest.mark.parametrize("kind", ["box", "harmonic", "table"])
+    @pytest.mark.parametrize("n", [3, 33, 112, 200])
+    def test_bit_equal_to_reference(self, rng, kind, n):
+        pencil = sample_pencil(kind, n, rng)
+        spectrum = np.linalg.eigvalsh(dense(*eliminate_pencil(pencil)))
+        scale = np.abs(spectrum).max()
+        random = rng.uniform(-0.5 * scale, 1.5 * scale, size=10)
+        assert_matches_reference(pencil, [*spectrum, *0.5 * (spectrum[:-1] + spectrum[1:]), *random])
+
+    def test_exactly_singular_pencil(self):
+        # M_00 = M_10 = 0 leaves psi1_0 coupled to nothing, so G(V_0) has a zero column.
+        pencil = Pencil1D([0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.5, 0.0, 0.0])
+        assert pencil.log_abs_det(0.5) == (-math.inf, math.inf) == pencil_log_abs_det(pencil, 0.5)
+
+    def test_tiny_hbar_box_keeps_nan_slope(self):
+        # Momentum moduli near 1e-199 square to 0: log|det G| stays finite, but
+        # the slope's quotients overflow and cancel to NaN, as in the reference.
+        pencil = box_pencil(20, hbar=1e-200)
+        log_abs, slope = pencil.log_abs_det(0.0)
+        assert log_abs == -18312.762790054632 and math.isnan(slope)
+        assert_matches_reference(pencil, [0.0])
+
+    def test_empty_pencil(self):
+        pencil = Pencil1D(np.zeros(0), np.zeros(0), np.zeros(0))
+        assert pencil.size == 1
+        assert pencil.log_abs_det(0.7) == (0.0, 0.0) == pencil_log_abs_det(pencil, 0.7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 33, 200])
+    def test_matches_dense_lu(self, rng, n):
+        pencil = Pencil1D(
+            rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=n)
+        )
+        energy = float(rng.normal())
+        log_abs, slope = pencil.log_abs_det(energy)
+        g = pencil.matrix(energy)
+        dense_log, _ = logabsdet_lu(g)
+        assert log_abs == pytest.approx(dense_log, rel=1e-12, abs=1e-12)
+        # d/dE log|det G(E)| = trace(G^-1 dG/dE), and dG/dE is the identity on the psi1 block.
+        assert slope == pytest.approx(np.trace(np.linalg.inv(g)[:n, :n]).real, rel=1e-9, abs=1e-12)
+
+    def test_zero_pivot_mid_elimination_forces_row_swap(self):
+        # Rows psi2_0, psi1_0, psi2_1 read [[1, 1/2, 0], [1/2, E - V, 2], [0, 2, 1]].
+        # At E - V = 1/4 the second pivot is exactly 0; only the row swap keeps
+        # the elimination going.  det G = E - V - 17/4, so the slope is -1/4.
+        pencil = Pencil1D([0.5], [2.0], [1.0])
+        log_abs, slope = pencil.log_abs_det(1.25)
+        assert det_lu(pencil.matrix(1.25)) == pytest.approx(-4.0, rel=1e-15)
+        assert log_abs == pytest.approx(math.log(4.0), rel=1e-15)
+        assert slope == pytest.approx(-0.25, rel=1e-15)
+
+    def test_handles_magnitudes_beyond_float_range(self):
+        # 501 rows; det G(-1e4) = det(-1e4 - H) with all 250 levels of H below 4e-6: about 1e1000.
+        pencil = Pencil1D(np.full(250, 1e-3j), np.full(250, -1e-3j), np.zeros(250))
+        log_abs, slope = pencil.log_abs_det(-1e4)
+        dense_log, _ = logabsdet_lu(pencil.matrix(-1e4))
+        assert log_abs == pytest.approx(dense_log, rel=1e-12)
+        assert log_abs > 1000.0
+        assert slope == pytest.approx(-0.025, rel=1e-6)  # about 250 / -1e4
+
+    def test_rejects_nonfinite_shift(self):
+        pencil = box_pencil(5)
+        for energy in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                pencil.log_abs_det(energy)
+        # A finite energy whose E - V overflows.
+        wide = Pencil1D(np.ones(3), np.ones(3), [0.0, -1e308, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            wide.log_abs_det(1e308)
 
 
 class TestEliminate:
