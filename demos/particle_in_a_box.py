@@ -56,8 +56,14 @@ for k in (0, 1, 2):
     between = pencil_root_distance(pencil, float(midpoint))
     print(f"  level {k}: distance {at_eig:.1e} at the eigenvalue, {between:.1e} at the midpoint above")
 
-# Stacking the state with its momentum image nulls the full pencil.
+# Stacking the state with its momentum image nulls the full pencil.  The
+# pencil's two row blocks apply M = -i D and M^H = i D^T by the bands of D:
+# (D psi)_k = a_k psi_k + b_(k-1) psi_(k-1) and (D^T phi)_k = a_k phi_k + b_k phi_(k+1).
+energy = float(spectrum[0])
+a, b = pencil.diagonal, pencil.subdiagonal
 psi1 = vectors[:, 0]
-stacked = np.concatenate([psi1, auxiliary_component(pencil, psi1)])
-residual = np.linalg.norm(pencil.matrix(float(spectrum[0])) @ stacked)
+psi2 = auxiliary_component(pencil, psi1)
+state_rows = (energy - pencil.potential) * psi1 + 1j * (a * psi2[:-1] + b * psi2[1:])
+momentum_rows = -1j * (np.append(a * psi1, 0.0) + np.insert(b * psi1, 0, 0.0)) + psi2
+residual = np.linalg.norm(np.concatenate([state_rows, momentum_rows]))
 print(f"\n|G(E_1) (psi, -M psi)| = {residual:.2e}")

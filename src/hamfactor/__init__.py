@@ -30,7 +30,6 @@ from .linalg import (
     SingularBlockError,
     block_det_schur,
     det_lu,
-    logabsdet_lu,
     schur_factor_check,
     tridiagonal_eigen,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "kinetic_square_residual",
     "lamb_g_factor",
     "larmor_frequency",
-    "logabsdet_lu",
     "null_basis",
     "null_vector_1d",
     "pauli",

@@ -489,10 +489,10 @@ def solve1d_bytes(n: int, count: int) -> int:
 
 
 def _band_residual(diagonal: np.ndarray, offdiagonal: np.ndarray, energy: float, state: np.ndarray) -> float:
-    """max|H psi - E psi| for the Hermitian tridiagonal H with the given bands."""
-    gap = (diagonal - energy) * state.astype(np.result_type(state, offdiagonal))
+    """max|H psi - E psi| for the real symmetric tridiagonal H with the given bands."""
+    gap = (diagonal - energy) * state
     gap[:-1] += offdiagonal * state[1:]
-    gap[1:] += offdiagonal.conj() * state[:-1]
+    gap[1:] += offdiagonal * state[:-1]
     return float(np.abs(gap).max())
 
 

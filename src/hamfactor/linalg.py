@@ -4,7 +4,7 @@ The dense routines take plain numpy matrices, compute in ``complex128``
 and are sized for desk-scale problems.  Determinants use explicit
 pivoted elimination, so the pivots stay visible; the block routines
 eliminate a trailing block through its inverse.
-Hermitian tridiagonal matrices have their own eigensolver, which takes
+Real symmetric tridiagonal matrices have their own eigensolver, which takes
 the bands and never forms the matrix: it takes the values of the lowest
 levels from Sturm counts on large blocks and from LAPACK's values-only
 path on small ones, and computes each eigenvector in O(n) by inverse
@@ -69,65 +69,33 @@ def relative_residual(gap, scale) -> float:
     return float(np.max(np.divide(gap, scale, out=gap.copy(), where=scale != 0.0)))
 
 
-def _lu_pivots(m):
-    """Pivots of LU elimination with partial pivoting, in elimination order.
-
-    Yields ``(pivot, swapped)`` per column, where ``swapped`` says that a
-    row exchange brought the pivot up.  A zero pivot means the matrix is
-    exactly singular, and elimination stops there.
-    """
-    a = as_complex_matrix(m).copy()
-    n = _require_square(a)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p], k:] = a[[p, k], k:]
-        pivot = a[k, k]
-        yield pivot, p != k
-        if pivot == 0:
-            return
-        if k + 1 < n:
-            mult = a[k + 1 :, k] / pivot
-            a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
-
-
 def det_lu(m) -> complex:
     """Determinant via LU elimination with partial pivoting.
 
     Row swaps are tracked explicitly so the permutation sign is exact;
-    the result is that sign times the product of the pivots.
+    the result is that sign times the product of the pivots.  A zero pivot
+    means the matrix is exactly singular, and elimination stops there.
     """
+    a = as_complex_matrix(m).copy()
+    n = _require_square(a)
     det = 1.0 + 0.0j
-    for pivot, swapped in _lu_pivots(m):
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if p != k:
+            a[[k, p], k:] = a[[p, k], k:]
+            det = -det
+        pivot = a[k, k]
         if pivot == 0:
             return 0.0j
-        if swapped:
-            det = -det
         det *= pivot
+        if k + 1 < n:
+            mult = a[k + 1 :, k] / pivot
+            a[k + 1 :, k + 1 :] -= np.outer(mult, a[k, k + 1 :])
     return complex(det)
 
 
-def logabsdet_lu(m) -> tuple[float, complex]:
-    """``(log|det m|, phase)`` from the same pivoted elimination as det_lu.
-
-    The phase has unit modulus (det = exp(log) * phase), so determinants
-    far outside floating-point range stay representable.  An exactly
-    singular matrix returns ``(-inf, 0)``.
-    """
-    log_abs = 0.0
-    phase = 1.0 + 0.0j
-    for pivot, swapped in _lu_pivots(m):
-        if pivot == 0:
-            return -math.inf, 0.0j
-        if swapped:
-            phase = -phase
-        log_abs += math.log(abs(pivot))
-        phase *= pivot / abs(pivot)
-    return log_abs, phase
-
-
 def tridiagonal_norm(diagonal, offdiagonal) -> float:
-    """1-norm of the Hermitian tridiagonal matrix with these bands (the largest absolute row sum)."""
+    """1-norm of the symmetric tridiagonal matrix with these bands (the largest absolute row sum)."""
     rows = np.abs(np.asarray(diagonal, dtype=float))
     off = np.abs(np.asarray(offdiagonal))
     rows[1:] += off
@@ -155,47 +123,35 @@ STURM_CROSSOVER = 12_000
 
 
 def tridiagonal_eigen(diagonal, offdiagonal, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lowest ``count`` eigenvalues of a Hermitian tridiagonal T, and their eigenvectors.
+    """The lowest ``count`` eigenvalues of a real symmetric tridiagonal T, and their eigenvectors.
 
-    ``diagonal`` holds the n real diagonal entries and ``offdiagonal`` the
-    n - 1 entries above them, real or complex; the entries below are their
-    conjugates.  Returns the ``count`` lowest eigenvalues ascending and an
-    n x count array whose columns are the matching unit eigenvectors, real
-    when the off-diagonal is real.
+    ``diagonal`` holds the n diagonal entries and ``offdiagonal`` the n - 1
+    entries beside them, both real; complex input is rejected.  Returns
+    the ``count`` lowest eigenvalues ascending and an n x count real array
+    whose columns are the matching unit eigenvectors.
 
-    A complex off-diagonal is made real by the diagonal unitary similarity
-    that ``Pencil1D.log_abs_det`` uses, which replaces each entry by its
-    modulus; the vectors are mapped back by its phases.  T splits into
-    unreduced blocks at zero off-diagonal entries.  A block of size s gives
-    its lowest min(count, s) values from Sturm counts when s^2 exceeds
-    ``STURM_CROSSOVER`` times that number, in O(s) per pass with no matrix
-    formed, and otherwise from LAPACK's values-only symmetric solver on the
-    assembled block (NumPy has no tridiagonal eigensolver).  Each requested
-    vector costs O(s) by inverse iteration on its block.  Its random start
-    vectors come from a fixed seed, so results repeat bit for bit.
+    T splits into unreduced blocks at zero off-diagonal entries.  A block
+    of size s gives its lowest min(count, s) values from Sturm counts when
+    s^2 exceeds ``STURM_CROSSOVER`` times that number, in O(s) per pass
+    with no matrix formed, and otherwise from LAPACK's values-only
+    symmetric solver on the assembled block (NumPy has no tridiagonal
+    eigensolver).  Each requested vector costs O(s) by inverse iteration
+    on its block.  Its random start vectors come from a fixed seed, so
+    results repeat bit for bit.
     """
+    if np.iscomplexobj(diagonal) or np.iscomplexobj(offdiagonal):
+        raise ValueError("tridiagonal_eigen takes a real symmetric tridiagonal matrix; got complex entries")
     d = np.asarray(diagonal, dtype=float)
-    off = np.asarray(offdiagonal)
+    e = np.asarray(offdiagonal, dtype=float)
     n = d.size
-    if d.ndim != 1 or n == 0 or off.shape != (n - 1,):
+    if d.ndim != 1 or n == 0 or e.shape != (n - 1,):
         raise ValueError(
-            f"need n >= 1 diagonal and n - 1 off-diagonal entries, got shapes {d.shape} and {off.shape}"
+            f"need n >= 1 diagonal and n - 1 off-diagonal entries, got shapes {d.shape} and {e.shape}"
         )
-    if not (np.isfinite(d).all() and np.isfinite(off).all()):
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("matrix entries must be finite")
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or not 1 <= count <= n:
         raise ValueError(f"count must be an integer in 1..{n}, got {count!r}")
-    phases = None
-    if np.iscomplexobj(off) and off.imag.any():
-        e = np.abs(off)
-        # conj(phase_j) t_j phase_(j+1) = |t_j| with phase_(j+1) = phase_j conj(t_j) / |t_j|.
-        unit = np.ones(n - 1, dtype=np.complex128)
-        coupled = e > 0.0
-        unit[coupled] = off[coupled].conj() / e[coupled]
-        phases = np.concatenate(([1.0 + 0.0j], np.cumprod(unit)))
-        phases /= np.abs(phases)  # the running product drifts off the unit circle by rounding
-    else:
-        e = np.real(off).astype(float)
 
     bounds = [0, *(np.flatnonzero(e == 0.0) + 1).tolist(), n]
     blocks = list(zip(bounds[:-1], bounds[1:]))
@@ -206,14 +162,12 @@ def tridiagonal_eigen(diagonal, offdiagonal, count: int) -> tuple[np.ndarray, np
     picked = np.argsort(spectrum, kind="stable")[:count]
     values = spectrum[picked]
 
-    vectors = np.zeros((n, count), dtype=float if phases is None else np.complex128)
+    vectors = np.zeros((n, count))
     rng = np.random.default_rng(0)
     for (lo, hi), first, last in zip(blocks, starts[:-1], starts[1:]):
         columns = np.flatnonzero((first <= picked) & (picked < last))
         if columns.size:
             vectors[lo:hi, columns] = _inverse_iteration(d[lo:hi], e[lo : hi - 1], values[columns], rng).T
-    if phases is not None:
-        vectors *= phases[:, None]
     return values, vectors
 
 

@@ -4,7 +4,7 @@ Two complementary tools.  The grid half discretizes the coupled
 first-order system for one particle on a line: an energy-linear
 Hermitian pencil whose auxiliary block can be eliminated exactly,
 recovering the standard three-point Schroedinger operator as the two
-bands of a Hermitian tridiagonal matrix.  The
+bands of a real symmetric tridiagonal matrix.  The
 operator half writes minimal-coupling operators as elements of the Weyl
 algebra, normal-ordered polynomials in the 3N coordinates and their 3N
 derivatives multiplied by ``weyl_product``, so an operator identity
@@ -15,6 +15,7 @@ function at once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,10 +65,14 @@ class Pencil1D:
     """Energy-linear Hermitian pencil coupling a state to its momentum image.
 
     The leading n rows read (E - V) psi1 + M^H psi2 = 0 and the trailing
-    n + 1 rows read M psi1 + psi2 = 0, with M the (n + 1) x n lower
-    bidiagonal momentum matrix, so eliminating psi2 yields the
-    second-order operator M^H M + diag(V).  M is stored as its two
-    bands: ``diagonal[k] = M[k, k]`` and ``subdiagonal[k] = M[k + 1, k]``.
+    n + 1 rows read M psi1 + psi2 = 0, with M = -i D the (n + 1) x n lower
+    bidiagonal momentum, so eliminating psi2 yields the second-order
+    operator D^T D + diag(V).  D is real and stored as its two bands:
+    ``diagonal[k] = D[k, k]`` and ``subdiagonal[k] = D[k + 1, k]``.  The
+    -i of p -> -i hbar d/dx is the only phase the pencil needs: any other
+    phase of a bidiagonal momentum is a gauge, which a diagonal unitary
+    change of basis removes.  That change of basis leaves det G(E) and the
+    spectrum of M^H M + V as they are, so the real bands lose nothing.
     """
 
     diagonal: np.ndarray
@@ -75,8 +80,10 @@ class Pencil1D:
     potential: np.ndarray
 
     def __post_init__(self):
-        diagonal = np.asarray(self.diagonal, dtype=np.complex128)
-        subdiagonal = np.asarray(self.subdiagonal, dtype=np.complex128)
+        if any(np.iscomplexobj(part) for part in (self.diagonal, self.subdiagonal, self.potential)):
+            raise ValueError("pencil data must be real: store the momentum M = -i D by its real bands D")
+        diagonal = np.asarray(self.diagonal, dtype=float)
+        subdiagonal = np.asarray(self.subdiagonal, dtype=float)
         potential = np.asarray(self.potential, dtype=float)
         if potential.ndim != 1 or not diagonal.shape == subdiagonal.shape == potential.shape:
             raise ValueError(
@@ -96,27 +103,6 @@ class Pencil1D:
     @property
     def size(self) -> int:
         return 2 * self.n + 1
-
-    @property
-    def momentum(self) -> np.ndarray:
-        """The dense (n + 1) x n momentum M, assembled from its bands."""
-        n = self.n
-        columns = np.arange(n)
-        m = np.zeros((n + 1, n), dtype=np.complex128)
-        m[columns, columns] = self.diagonal
-        m[columns + 1, columns] = self.subdiagonal
-        return m
-
-    def matrix(self, energy: float) -> np.ndarray:
-        """Assembled Hermitian pencil at the given energy."""
-        n = self.n
-        momentum = self.momentum
-        g = np.zeros((self.size, self.size), dtype=np.complex128)
-        g[:n, :n] = np.diag(energy - self.potential)
-        g[:n, n:] = momentum.conj().T
-        g[n:, :n] = momentum
-        g[n:, n:] = np.eye(n + 1)
-        return g
 
     @cached_property
     def _moduli(self) -> tuple[list[float], list[float]]:
@@ -195,54 +181,60 @@ def coupled_pencil(grid: Grid1D, potential, mass: float, hbar: float = 1.0) -> P
     """First-order pencil for a scalar potential on the grid.
 
     The momentum differences the n interior values onto the n + 1 cell
-    edges, with both boundary values pinned to zero: M = (-i hbar /
-    sqrt(2m)) D with D[k, k] = 1/h and D[k + 1, k] = -1/h, so M^H M is
-    (hbar^2/2m) times the exact three-point Dirichlet Laplacian.  Its
-    eigenvalues reach 4 hbar^2 / (2m h^2), which must be finite; a setting
-    that overflows it is rejected before any array is built.
+    edges, with both boundary values pinned to zero: M = -i D with
+    D[k, k] = c/h and D[k + 1, k] = -c/h for c = hbar / sqrt(2m), so D^T D
+    is (hbar^2/2m) times the exact three-point Dirichlet Laplacian.  Its eigenvalues
+    reach the kinetic scale 4 hbar^2 / (2m h^2), which must be finite and
+    at least 2 / (PENCIL_SINGULARITY_GUARD * max float), about 1.1e-300.
+    The floor makes ``root_distance`` sound: every interior row of
+    T = D^T D + V holds two off-diagonal entries of modulus
+    hbar^2 / (2m h^2), so |T|_1 >= 2 hbar^2 / (2m h^2), at least
+    1 / (PENCIL_SINGULARITY_GUARD * max float).  A slope that overflows,
+    which ``root_distance`` reads as 0, is a Newton step below
+    1 / max float, so it can only happen within the guard of a root.  Every
+    band square, a quarter of the scale, is a normal float as well.  A
+    setting outside these bounds is rejected before any array is built.
     """
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
+    settings = (
+        f"mass = {mass!r}, hbar = {hbar!r} and the grid span [{grid.x_min!r}, {grid.x_max!r}] "
+        f"with n = {grid.n} (h = {grid.h!r})"
+    )
     denominator = 2.0 * mass * grid.h * grid.h
-    if not (denominator > 0.0 and math.isfinite(4.0 * hbar * hbar / denominator)):
-        raise ValueError(
-            f"hbar^2 / (2 mass h^2) is not finite for mass = {mass!r}, hbar = {hbar!r} and the "
-            f"grid span [{grid.x_min!r}, {grid.x_max!r}] with n = {grid.n} (h = {grid.h!r})"
-        )
+    kinetic = 4.0 * hbar * hbar / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(kinetic):
+        raise ValueError(f"hbar^2 / (2 mass h^2) is not finite for {settings}")
+    floor = 2.0 / (PENCIL_SINGULARITY_GUARD * sys.float_info.max)
+    if kinetic < floor:
+        raise ValueError(f"4 hbar^2 / (2 mass h^2) = {kinetic!r} underflows below {floor!r} for {settings}")
     v = np.asarray(potential, dtype=float)
     if v.shape != (grid.n,):
         raise ValueError(f"potential must have {grid.n} samples, got shape {v.shape}")
-    step = 1.0 / grid.h
-    scale = (-1j) * (hbar / math.sqrt(2.0 * mass))
-    diagonal = scale * np.full(grid.n, step, dtype=np.complex128)
-    subdiagonal = scale * np.full(grid.n, -step, dtype=np.complex128)
-    return Pencil1D(diagonal, subdiagonal, v)
+    modulus = hbar / math.sqrt(2.0 * mass) * (1.0 / grid.h)
+    return Pencil1D(np.full(grid.n, modulus), np.full(grid.n, -modulus), v)
 
 
 def eliminate_pencil(pencil: Pencil1D) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Schur complement onto the state block, M^H M + diag(V), as its two bands.
+    """Exact Schur complement onto the state block, M^H M + diag(V) = D^T D + diag(V), as its two bands.
 
-    With momentum diagonal a and subdiagonal b the product is Hermitian
-    tridiagonal: the real diagonal |a_j|^2 + |b_j|^2 + V_j and the
-    off-diagonal conj(b_j) a_(j+1) above it, which is complex in general
-    and exactly real for ``coupled_pencil``.  Returns ``(diagonal,
-    offdiagonal)``, the input of ``linalg.tridiagonal_eigen``; no matrix
-    is formed.
+    With D's diagonal a and subdiagonal b the product is real symmetric
+    tridiagonal: the diagonal a_j^2 + b_j^2 + V_j and the off-diagonal
+    b_j a_(j+1) beside it.  Returns ``(diagonal, offdiagonal)`` as float64,
+    the input of ``linalg.tridiagonal_eigen``; no matrix is formed.
     """
     a, b = pencil.diagonal, pencil.subdiagonal
-    diagonal = (a.conj() * a + b.conj() * b).real + pencil.potential
-    return diagonal, b[:-1].conj() * a[1:]
+    return a * a + b * b + pencil.potential, b[:-1] * a[1:]
 
 
 def auxiliary_component(pencil: Pencil1D, psi1) -> np.ndarray:
-    """Eliminated component -M psi1; stacking (psi1, psi2) nulls the pencil at an eigenvalue."""
-    psi1 = np.asarray(psi1, dtype=np.complex128)
+    """Eliminated component psi2 = -M psi1 = i D psi1; stacking (psi1, psi2) nulls the pencil at an eigenvalue."""
+    psi1 = np.asarray(psi1)
     if psi1.shape != (pencil.n,):
         raise ValueError(f"state must have length {pencil.n}, got shape {psi1.shape}")
-    psi2 = np.zeros(pencil.n + 1, dtype=np.complex128)
-    psi2[:-1] = pencil.diagonal * psi1
-    psi2[1:] += pencil.subdiagonal * psi1
-    return -psi2
+    image = np.append(pencil.diagonal * psi1, 0.0)
+    image[1:] += pencil.subdiagonal * psi1
+    return 1j * image
 
 
 def root_distance(slope: float, norm: float) -> float:
@@ -256,8 +248,11 @@ def root_distance(slope: float, norm: float) -> float:
     root it reads half of it, so the nearest eigenvalue needs no other
     eigenvalue.  An exactly singular pencil (infinite slope) reads 0, and
     so does a slope that overflowed to NaN: that takes a pivot below the
-    floating-point range of its derivative, where E is a root to working
-    precision.  A zero operator (``norm`` 0) is measured in absolute units.
+    floating-point range of its derivative.  Reading such a slope as 0 is
+    sound wherever ``norm`` is at least 1 / (PENCIL_SINGULARITY_GUARD * max
+    float), as ``coupled_pencil`` requires: a slope beyond the float range
+    is then a relative step below the guard anyway.  A zero operator
+    (``norm`` 0) is measured in absolute units.
     """
     if not math.isfinite(slope):
         return 0.0

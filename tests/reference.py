@@ -3,8 +3,10 @@
 ``logabsdet_tridiagonal`` is the generic banded elimination that
 ``Pencil1D.log_abs_det`` specializes to the pencil's interleaved rows;
 ``pencil_log_abs_det`` feeds it the pencil's bands, so the two must agree
-bit for bit.  ``random_polynomial`` draws the sparse polynomials of the
-operator-identity tests.
+bit for bit.  ``momentum`` and ``pencil_matrix`` assemble a pencil's dense
+momentum M = -i D and the dense (2n + 1)-square G(E).
+``random_polynomial`` draws the sparse polynomials of the operator-identity
+tests.
 """
 
 import math
@@ -86,6 +88,28 @@ def pencil_log_abs_det(pencil, energy: float) -> tuple[float, float]:
     offdiagonal[1::2] = np.abs(pencil.subdiagonal)
     log_abs, _, slope = logabsdet_tridiagonal(diagonal, offdiagonal, rate)
     return log_abs, slope
+
+
+def momentum(pencil) -> np.ndarray:
+    """The dense (n + 1) x n momentum M = -i D, assembled from the bands of D."""
+    n = pencil.n
+    columns = np.arange(n)
+    m = np.zeros((n + 1, n), dtype=np.complex128)
+    m[columns, columns] = -1j * pencil.diagonal
+    m[columns + 1, columns] = -1j * pencil.subdiagonal
+    return m
+
+
+def pencil_matrix(pencil, energy: float) -> np.ndarray:
+    """The assembled Hermitian pencil G(E) = [[E - V, M^H], [M, I]]."""
+    n = pencil.n
+    m = momentum(pencil)
+    g = np.zeros((pencil.size, pencil.size), dtype=np.complex128)
+    g[:n, :n] = np.diag(energy - pencil.potential)
+    g[:n, n:] = m.conj().T
+    g[n:, :n] = m
+    g[n:, n:] = np.eye(n + 1)
+    return g
 
 
 def random_polynomial(

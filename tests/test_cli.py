@@ -437,16 +437,21 @@ class TestSolve1d:
         for row in rows:
             assert float(row[2]) <= 1e-14 * scale
 
-    def test_underflowing_kinetic_scale_splits_into_exact_levels(self, tmp_path):
-        # hbar^2 underflows: both bands vanish and the operator splits into
-        # 1 x 1 blocks, so every level is exact.
+    def test_small_kinetic_scale_above_the_floor_matches_closed_form(self, tmp_path):
+        # hbar = 1e-150 puts 4 hbar^2 / (2 m h^2) at 8.8e-298, above the
+        # floor of about 1.1e-300: the levels follow the three-point box
+        # formula and each reads below the guard.
         out = tmp_path / "levels.csv"
-        config = write_config(tmp_path, {"n": 20, "count": 3, "units": {"hbar": 1e-200}})
+        config = write_config(tmp_path, {"n": 20, "count": 3, "units": {"hbar": 1e-150}})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("solve1d", "--config", config, "--output", out) == 0
-        _, _, rows = read_csv_report(out)
-        assert [(row[1], row[2], row[4]) for row in rows] == [("0.0", "0.0", "-inf")] * 3
+        metadata, _, rows = read_csv_report(out)
+        k = np.arange(1, 4)
+        expected = (1e-150**2 / 2.0) * 441.0 * (2.0 - 2.0 * np.cos(k * np.pi / 21.0))
+        assert np.allclose([float(row[1]) for row in rows], expected, rtol=1e-12, atol=0.0)
+        guard = float(metadata["singularity_guard_log10"])
+        assert all(float(row[4]) < guard for row in rows)
 
     def test_potential_table_matches_preset(self, tmp_path):
         n = 40
@@ -644,6 +649,13 @@ class TestArgumentHandling:
             ("verify", {"units": {"electron_mass": 1.0}}, "unknown units key(s): 'electron_mass'"),
             # A trial count above MAX_TRIALS is rejected before any draw.
             ("verify", {"trials": 1_000_001}, "trials must be <= 1,000,000, got 1,000,001"),
+            # A kinetic scale below 2 / (guard * max float) would certify levels it cannot resolve.
+            ("solve1d", {"n": 20, "count": 3, "units": {"hbar": 1e-200}}, "underflows"),
+            (
+                "solve1d",
+                {"n": 20, "count": 3, "units": {"hbar": 1e-160}},
+                "underflows below 1.1125369292536009e-300 for mass = 1.0, hbar = 1e-160 and the grid span [0.0, 1.0]",
+            ),
         ],
     )
     def test_rejected_values_exit_2_without_report(self, tmp_path, capsys, command, config, fragment):

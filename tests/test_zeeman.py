@@ -324,6 +324,11 @@ class TestRadialEigenvalues:
         with pytest.raises(ValueError, match="reduced"):
             radial_eigenvalues(0, 0.0, 1.0, Grid1D(0.0, 10.0, 100), 1)
 
+    def test_underflowing_kinetic_scale_rejected(self):
+        # The pencil's floor on 4 hbar^2 / (2 mu h^2) holds for the radial problem too.
+        with pytest.raises(ValueError, match="underflows"):
+            radial_eigenvalues(0, 1.0, 1.0, Grid1D(0.0, 10.0, 100), 1, Units(hbar=1e-160))
+
 
 def lz_coefficient(system):
     """Coefficient of x d_y in the derived operator over relative variables."""
