@@ -72,14 +72,26 @@ class TestDetLU:
             det_lu(np.ones((2, 3)))
 
     def test_rejects_non_finite(self):
-        for bad in ([[np.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [0.0, 1.0]]):
-            with pytest.raises(ValueError):
-                det_lu(bad)
+        with pytest.raises(ValueError):
+            det_lu([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_zero_pivot_after_row_swap(self):
         # The first column forces a swap; the second column then has no pivot.
         a = np.array([[0.0, 1.0, 2.0], [3.0, 1.0, 2.0], [0.0, 2.0, 4.0]])
         assert det_lu(a) == 0
+
+
+class TestLogAbsDet:
+    """Dense log-determinants in these tests come from ``np.linalg.slogdet``.
+
+    The package keeps only ``det_lu``, which must still refuse the input a
+    log-determinant oracle would be fed wrongly: a non-square or NaN matrix.
+    """
+
+    def test_rejects_bad_input_like_det_lu(self):
+        for bad in (np.ones((2, 3)), [[1.0, math.nan], [0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                det_lu(bad)
 
 
 def tridiagonal(diagonal, offdiagonal) -> np.ndarray:
