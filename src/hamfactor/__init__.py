@@ -66,8 +66,10 @@ from .zeeman import (
     decompose_masses,
     lamb_g_factor,
     larmor_frequency,
+    level_labels,
     radial_eigenvalues,
     splitting_table,
+    splitting_terms,
 )
 
 __version__ = "0.1.0"
@@ -113,6 +115,7 @@ __all__ = [
     "kinetic_square_residual",
     "lamb_g_factor",
     "larmor_frequency",
+    "level_labels",
     "null_basis",
     "null_vector_1d",
     "pauli",
@@ -125,6 +128,7 @@ __all__ = [
     "schur_factor_check",
     "spin_dot",
     "splitting_table",
+    "splitting_terms",
     "tridiagonal_eigen",
     "weyl_product",
 ]

@@ -36,8 +36,6 @@ the others.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -81,7 +79,15 @@ from .quantize import (
 )
 from .spin import MAX_SITES, commutator_table, embed_spin, product_identity_residual
 from .units import ATOMIC, Units
-from .zeeman import ZeemanSystem, bohr_energy, decompose_masses, lamb_g_factor, larmor_frequency, splitting_table
+from .zeeman import (
+    ZeemanSystem,
+    bohr_energy,
+    decompose_masses,
+    lamb_g_factor,
+    larmor_frequency,
+    level_labels,
+    splitting_terms,
+)
 
 
 class ConfigError(ValueError):
@@ -223,16 +229,18 @@ def _render_json(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(metadata: dict, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Render a table with '#'-prefixed metadata lines above RFC-4180 rows."""
-    buffer = io.StringIO(newline="")
-    for key, value in metadata.items():
-        buffer.write(f"# {key}: {value}\r\n")
-    writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
+def _csv_text(metadata: dict, header: Sequence[str], rows: Iterable[str]) -> str:
+    """Render a table with '#'-prefixed metadata lines above RFC-4180 rows.
+
+    Each row comes already joined with commas.  Every cell of every table
+    is an int or a float ``repr`` (including "inf", "-inf" and "nan"), and
+    every header name a plain identifier: none holds a comma, quote, CR or
+    LF, so RFC 4180, like ``csv.writer`` with QUOTE_MINIMAL, quotes none.
+    """
+    lines = [f"# {key}: {value}" for key, value in metadata.items()]
+    lines.append(",".join(header))
+    lines.extend(rows)
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _units_line(units: Units) -> str:
@@ -521,7 +529,8 @@ def run_solve1d(args: argparse.Namespace) -> int:
     passed = True
     for index in range(count):
         energy = float(values[index])
-        hamiltonian_residual = _band_residual(diagonal, offdiagonal, energy, vectors[:, index])
+        # Divided by the 1-norm of H, like the root distance, so it reads the same in any unit system.
+        hamiltonian_residual = _band_residual(diagonal, offdiagonal, energy, vectors[:, index]) / norm
         # The determinant and root distance come from the pencil, not the
         # eigensolver, so they check the spectrum independently.
         log_magnitude, slope = pencil.log_abs_det(energy)
@@ -531,7 +540,7 @@ def run_solve1d(args: argparse.Namespace) -> int:
         # NaN and inf compare false, so they fail too.
         passed = passed and distance < PENCIL_SINGULARITY_GUARD
         distance_cell = "-inf" if distance == 0.0 else repr(math.log10(distance))
-        rows.append((index, repr(energy), repr(hamiltonian_residual), det_cell, distance_cell))
+        rows.append(f"{index},{energy!r},{hamiltonian_residual!r},{det_cell},{distance_cell}")
 
     potential_name = potential if isinstance(potential, str) else "table"
     metadata = {
@@ -559,10 +568,12 @@ def run_solve1d(args: argparse.Namespace) -> int:
 def zeeman_bytes(n_max: int) -> int:
     """Upper estimate of zeeman's peak working set for levels up to n_max.
 
-    The table has n_max (n_max + 1) (2 n_max + 1) / 3 rows, and each row
-    is held as a ``LevelRow``, a tuple of rendered cells and its CSV text;
-    1 KiB per row bounds the peak (measured: 490-575 bytes per row of
-    traced allocations and 725 bytes per row of peak RSS at n_max 40-80).
+    The table has n_max (n_max + 1) (2 n_max + 1) / 3 rows.  Each row is
+    held as its text, once on its own and once inside the joined report,
+    which is encoded on write; the n_max (n_max + 2) distinct cells it
+    shares add nothing per row.  1 KiB per row bounds the peak (measured:
+    395-402 bytes per row of traced allocations and 400 bytes per row of
+    peak RSS at n_max 40-80).
     """
     return 1024 * n_max * (n_max + 1) * (2 * n_max + 1) // 3
 
@@ -592,11 +603,16 @@ def run_zeeman(args: argparse.Namespace) -> int:
     bound = abs(bohr_energy(1, masses.reduced, z, units)) + abs(units.hbar * omega) * n_max
     if not math.isfinite(bound):
         raise ConfigError(f"zeeman rows are not finite: omega_L = {omega!r}, |E_1| + |hbar omega_L| n_max = {bound!r}")
-    constants = (repr(omega), repr(masses.larmor_mass), repr(lamb_g_factor(system)))
-    table_rows = [
-        (row.n, row.l, row.m, row.branch, repr(row.energy), repr(row.shift), *constants)
-        for row in splitting_table(system, n_max)
-    ]
+    constants = f"{omega!r},{masses.larmor_mass!r},{lamb_g_factor(system)!r}"
+    # The table is separable, so each distinct (n, step) cell and each label value
+    # (|n|, |l|, |m| <= n_max and branch <= 2 <= n_max + 1) is rendered once and shared by its rows.
+    terms = splitting_terms(system, n_max)
+    cells = {key: f"{energy!r},{shift!r},{constants}" for key, (energy, shift) in terms.items()}
+    text = {value: str(value) for value in range(-n_max, n_max + 2)}
+    rows = (
+        f"{text[n]},{text[l]},{text[m]},{text[branch]},{cells[n, step]}"
+        for n, l, m, branch, step in level_labels(n_max)
+    )
     metadata = {
         "tool": f"hamfactor {__version__}",
         "command": "zeeman",
@@ -611,7 +627,7 @@ def run_zeeman(args: argparse.Namespace) -> int:
         "total_mass": repr(masses.total),
     }
     header = ("n", "l", "m", "branch", "energy", "shift", "omega_L", "m_L", "g_L")
-    _write_text(_csv_text(metadata, header, table_rows), args.output)
+    _write_text(_csv_text(metadata, header, rows), args.output)
     return 0
 
 

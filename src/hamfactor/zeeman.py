@@ -14,6 +14,7 @@ hbar * omega_L * (m - 1).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,30 +124,55 @@ class LevelRow:
     shift: float
 
 
-def splitting_table(system: ZeemanSystem, n_max: int) -> list[LevelRow]:
-    """All split levels up to principal quantum number ``n_max``.
+def splitting_terms(system: ZeemanSystem, n_max: int) -> dict[tuple[int, int], tuple[float, float]]:
+    """(energy, shift) of every distinct level of the table, keyed by (n, step).
 
-    Each level is separable: the Bohr energy E_n plus the branch shift
-    hbar omega_L (m + 1) for branch 1 or hbar omega_L (m - 1) for branch
-    2, so the reduced mass and hbar omega_L are computed once per table
-    and E_n once per n.  Rows are ordered by (n, l, m, branch); each
-    unperturbed level contributes two rows, so there are
-    n_max (n_max + 1) (2 n_max + 1) / 3 in total.
+    Each level is separable: the Bohr energy E_n plus the shift
+    hbar omega_L step, where step is m + 1 on branch 1 and m - 1 on
+    branch 2, so |step| <= n.  The reduced mass and hbar omega_L are
+    computed once per table, E_n once per n and each shift once per
+    step.  The n_max (n_max + 2) pairs with |step| <= n cover the
+    n_max (n_max + 1) (2 n_max + 1) / 3 rows of ``level_labels``; all but
+    (1, 0) occur in them.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     mu = decompose_masses(system).reduced
     quantum = system.units.hbar * larmor_frequency(system)
-    rows = []
+    # + 0.0 turns IEEE negative zero into plain zero when the frequency vanishes.
+    shifts = {step: quantum * step + 0.0 for step in range(-n_max, n_max + 1)}
+    terms = {}
     for n in range(1, n_max + 1):
         bohr = bohr_energy(n, mu, system.z, system.units)
+        for step in range(-n, n + 1):
+            terms[n, step] = (bohr + shifts[step], shifts[step])
+    return terms
+
+
+def level_labels(n_max: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(n, l, m, branch, step) of every row up to ``n_max``, ordered by (n, l, m, branch).
+
+    Each unperturbed level (n, l, m) gives branch 1 with step m + 1 and
+    branch 2 with step m - 1; ``splitting_terms`` holds their energies.
+    """
+    for n in range(1, n_max + 1):
         for l in range(n):
             for m in range(-l, l + 1):
-                for branch, step in ((1, m + 1), (2, m - 1)):
-                    # + 0.0 turns IEEE negative zero into plain zero when the frequency vanishes.
-                    shift = quantum * step + 0.0
-                    rows.append(LevelRow(n, l, m, branch, energy=bohr + shift, shift=shift))
-    return rows
+                yield n, l, m, 1, m + 1
+                yield n, l, m, 2, m - 1
+
+
+def splitting_table(system: ZeemanSystem, n_max: int) -> list[LevelRow]:
+    """All split levels up to principal quantum number ``n_max``.
+
+    Each row is E_n plus the branch shift hbar omega_L (m + 1) for branch
+    1 or hbar omega_L (m - 1) for branch 2, taken from
+    ``splitting_terms``.  Rows are ordered by (n, l, m, branch); each
+    unperturbed level contributes two rows, so there are
+    n_max (n_max + 1) (2 n_max + 1) / 3 in total.
+    """
+    terms = splitting_terms(system, n_max)
+    return [LevelRow(n, l, m, branch, *terms[n, step]) for n, l, m, branch, step in level_labels(n_max)]
 
 
 def radial_eigenvalues(

@@ -10,12 +10,13 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hamfactor import FieldConfig, ParticleSpec, Units, cli, linalg, quantize
+from hamfactor import FieldConfig, ParticleSpec, Units, ZeemanSystem, cli, linalg, quantize, splitting_table
 from hamfactor.cli import DEFAULT_TOLERANCES, MAX_WORKING_BYTES, main, solve1d_bytes, zeeman_bytes
 from hamfactor.linalg import SingularBlockError
 
@@ -425,17 +426,27 @@ class TestSolve1d:
         ids=["box-900", "harmonic-660"],
     )
     def test_residual_at_rounding_level_of_the_operator(self, tmp_path, config):
+        # The residual column is max|H psi - E psi| over the 1-norm of H.
         out = tmp_path / "levels.csv"
         assert run("solve1d", "--config", write_config(tmp_path, config), "--output", out) == 0
         _, _, rows = read_csv_report(out)
-        x_min, x_max = config.get("x_min", -12.0), config.get("x_max", 12.0)
-        h = (x_max - x_min) / (config["n"] + 1)
-        points = x_min + h * np.arange(1, config["n"] + 1)
-        v_max = 0.0 if config["potential"] == "box" else float(np.max(0.5 * points**2))
-        scale = 4.0 / (2.0 * config["mass"] * h * h) + v_max
         assert len(rows) == 12
         for row in rows:
-            assert float(row[2]) <= 1e-14 * scale
+            assert float(row[2]) <= 1e-14
+
+    def test_residual_reads_the_same_in_any_units(self, tmp_path):
+        # An absolute residual would read 2.1e-314 at hbar = 1e-150 and 1.9e286 at hbar = 1e150.
+        def residuals(hbar):
+            out = tmp_path / f"levels-{hbar}.csv"
+            config = write_config(tmp_path, {"n": 20, "count": 3, "units": {"hbar": hbar}})
+            assert run("solve1d", "--config", config, "--output", out) == 0
+            return [float(row[2]) for row in read_csv_report(out)[2]]
+
+        reference = residuals(1.0)
+        assert all(0.0 < value < 1e-15 for value in reference)
+        for hbar in (1e-150, 1e150):
+            for value, unit in zip(residuals(hbar), reference):
+                assert unit / 10.0 <= value <= 10.0 * unit
 
     def test_small_kinetic_scale_above_the_floor_matches_closed_form(self, tmp_path):
         # hbar = 1e-150 puts 4 hbar^2 / (2 m h^2) at 8.8e-298, above the
@@ -539,6 +550,32 @@ class TestZeeman:
         metadata, _, _ = read_csv_report(out)
         assert metadata["m2"] == "10.0"
         assert metadata["preset"] == "none"
+
+    @pytest.mark.parametrize("n_max", [1, 7, 24])
+    @pytest.mark.parametrize(
+        "system",
+        [
+            ZeemanSystem(m1=1.0, m2=1836.15267, b=1.0),
+            ZeemanSystem(m1=1.0, m2=1.0, b=2.5),
+            ZeemanSystem(m1=1.0, m2=7.5, b=1.0, z=2.0),
+            ZeemanSystem(m1=5.0, m2=1.0, b=-0.7, units=Units(hbar=2.5, charge=0.3, light_speed=10.0)),
+            ZeemanSystem(m1=1.0, m2=1836.15267, b=0.0),
+            ZeemanSystem(m1=1.0, m2=1.0, b=1.0),
+        ],
+        ids=["hydrogen", "positronium-b2.5", "z2", "custom-units", "zero-field", "positronium"],
+    )
+    def test_rows_match_splitting_table(self, tmp_path, system, n_max):
+        # The report and splitting_table both read zeeman's separable terms; neither may drift.
+        config = {"m1": system.m1, "m2": system.m2, "b": system.b, "z": system.z, "n_max": n_max}
+        config["units"] = asdict(system.units)
+        out = tmp_path / "table.csv"
+        assert run("zeeman", "--config", write_config(tmp_path, config), "--output", out) == 0
+        _, *rows = [line for line in out.read_bytes().decode("utf-8").split("\r\n") if line and line[0] != "#"]
+        # Each row without its omega_L, m_L and g_L cells.
+        expected = splitting_table(system, n_max)
+        assert [row.rsplit(",", 3)[0] for row in rows] == [
+            f"{row.n},{row.l},{row.m},{row.branch},{row.energy!r},{row.shift!r}" for row in expected
+        ]
 
     def test_oversized_table_rejected_before_allocation(self, capsys):
         # The documented bound: n_max up to 146 fits the shared limit.

@@ -285,6 +285,13 @@ class TestSplittingTable:
         assert len(splitting_table(hydrogen(), 7)) == 7 * 8 * 15 // 3
         assert calls == list(range(1, 8))
 
+    def test_terms_cover_the_labels(self):
+        for n_max in (1, 4):
+            terms = zeeman.splitting_terms(hydrogen(), n_max)
+            assert len(terms) == n_max * (n_max + 2)
+            # Step 0 needs m = +-1, which n = 1 lacks.
+            assert {(n, step) for n, _, _, _, step in zeeman.level_labels(n_max)} == set(terms) - {(1, 0)}
+
     def test_equal_masses_leave_degenerate_branches(self):
         rows = splitting_table(positronium(), 2)
         for row in rows:
