@@ -85,7 +85,6 @@ from .zeeman import (
     decompose_masses,
     lamb_g_factor,
     larmor_frequency,
-    level_labels,
     splitting_terms,
 )
 
@@ -232,15 +231,17 @@ def _render_json(document: dict) -> str:
 def _csv_text(metadata: dict, header: Sequence[str], rows: Iterable[str]) -> str:
     """Render a table with '#'-prefixed metadata lines above RFC-4180 rows.
 
-    Each row comes already joined with commas.  Every cell of every table
-    is an int or a float ``repr`` (including "inf", "-inf" and "nan"), and
-    every header name a plain identifier: none holds a comma, quote, CR or
-    LF, so RFC 4180, like ``csv.writer`` with QUOTE_MINIMAL, quotes none.
+    Each item of ``rows`` is one row joined with commas, or a block of
+    such rows joined with CRLF.  Every cell of every table is an int or a
+    float ``repr`` (including "inf", "-inf" and "nan"), and every header
+    name a plain identifier: none holds a comma, quote, CR or LF, so
+    RFC 4180, like ``csv.writer`` with QUOTE_MINIMAL, quotes none.
     """
     lines = [f"# {key}: {value}" for key, value in metadata.items()]
     lines.append(",".join(header))
     lines.extend(rows)
-    return "\r\n".join(lines) + "\r\n"
+    lines.append("")  # the last row ends with CRLF too
+    return "\r\n".join(lines)
 
 
 def _units_line(units: Units) -> str:
@@ -569,11 +570,10 @@ def zeeman_bytes(n_max: int) -> int:
     """Upper estimate of zeeman's peak working set for levels up to n_max.
 
     The table has n_max (n_max + 1) (2 n_max + 1) / 3 rows.  Each row is
-    held as its text, once on its own and once inside the joined report,
-    which is encoded on write; the n_max (n_max + 2) distinct cells it
-    shares add nothing per row.  1 KiB per row bounds the peak (measured:
-    395-402 bytes per row of traced allocations and 400 bytes per row of
-    peak RSS at n_max 40-80).
+    held as its text, once in its (n, l) block and once in the joined
+    report, which is encoded on write; the cells and tails it shares add
+    nothing per row.  1 KiB per row bounds the peak (measured: 337-347
+    bytes per row of traced allocations and of peak RSS at n_max 40-80).
     """
     return 1024 * n_max * (n_max + 1) * (2 * n_max + 1) // 3
 
@@ -604,15 +604,16 @@ def run_zeeman(args: argparse.Namespace) -> int:
     if not math.isfinite(bound):
         raise ConfigError(f"zeeman rows are not finite: omega_L = {omega!r}, |E_1| + |hbar omega_L| n_max = {bound!r}")
     constants = f"{omega!r},{masses.larmor_mass!r},{lamb_g_factor(system)!r}"
-    # The table is separable, so each distinct (n, step) cell and each label value
-    # (|n|, |l|, |m| <= n_max and branch <= 2 <= n_max + 1) is rendered once and shared by its rows.
+    # The table is separable: each (n, step) cell is rendered once, then each n's "m,branch,cell" tails in
+    # (m, branch) order, and each (n, l) block joins the tails with |m| <= l behind one "n,l," prefix.
     terms = splitting_terms(system, n_max)
     cells = {key: f"{energy!r},{shift!r},{constants}" for key, (energy, shift) in terms.items()}
-    text = {value: str(value) for value in range(-n_max, n_max + 2)}
-    rows = (
-        f"{text[n]},{text[l]},{text[m]},{text[branch]},{cells[n, step]}"
-        for n, l, m, branch, step in level_labels(n_max)
-    )
+    blocks = []
+    for n in range(1, n_max + 1):
+        tails = [f"{m},{branch},{cells[n, m + step]}" for m in range(1 - n, n) for branch, step in ((1, 1), (2, -1))]
+        for l in range(n):
+            prefix = f"{n},{l},"
+            blocks.append(prefix + ("\r\n" + prefix).join(tails[2 * (n - 1 - l) : 2 * (n + l)]))
     metadata = {
         "tool": f"hamfactor {__version__}",
         "command": "zeeman",
@@ -627,7 +628,7 @@ def run_zeeman(args: argparse.Namespace) -> int:
         "total_mass": repr(masses.total),
     }
     header = ("n", "l", "m", "branch", "energy", "shift", "omega_L", "m_L", "g_L")
-    _write_text(_csv_text(metadata, header, rows), args.output)
+    _write_text(_csv_text(metadata, header, blocks), args.output)
     return 0
 
 

@@ -103,15 +103,20 @@ def lamb_g_factor(system: ZeemanSystem) -> float:
 
 
 def bohr_energy(n: int, mu: float, z: float, units: Units = ATOMIC) -> float:
-    """Bound-state energy -mu z^2 e^4 / (2 hbar^2 n^2) of the reduced problem."""
+    """Bound-state energy -mu z^2 e^4 / (2 hbar^2 n^2) of the reduced problem; a side that overflows is a ValueError."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"principal quantum number must be a positive integer, got {n}")
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"reduced mass must be positive and finite, got {mu}")
-    denominator = 2.0 * units.hbar**2 * n**2
+    try:
+        numerator, denominator = mu * z**2 * units.charge**4, 2.0 * units.hbar**2 * n**2
+    except OverflowError:
+        numerator = denominator = math.inf
     if denominator == 0.0:
         raise ValueError(f"2 hbar^2 n^2 underflows to 0 at hbar = {units.hbar!r}, n = {n}")
-    return -mu * z**2 * units.charge**4 / denominator
+    if math.isinf(numerator) or math.isinf(denominator):
+        raise ValueError(f"mu z^2 e^4 or 2 hbar^2 n^2 overflows at mu = {mu!r}, z = {z!r}, n = {n} in {units}")
+    return -numerator / denominator
 
 
 @dataclass(frozen=True)

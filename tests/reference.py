@@ -6,14 +6,17 @@
 bit for bit.  ``momentum`` and ``pencil_matrix`` assemble a pencil's dense
 momentum M = -i D and the dense (2n + 1)-square G(E).
 ``random_polynomial`` draws the sparse polynomials of the operator-identity
-tests.
+tests.  ``embed_spin_kron`` is the dense Kronecker form of an embedded
+Pauli operator and ``commutator_entries`` the entry-by-entry commutator
+loop over it, the oracles of ``hamfactor.spin``.
 """
 
 import math
 
 import numpy as np
 
-from hamfactor import Polynomial
+from hamfactor import CommutatorEntry, Polynomial
+from hamfactor.linalg import worse
 
 
 def logabsdet_tridiagonal(diagonal, offdiagonal, rate) -> tuple[float, float, float]:
@@ -128,3 +131,50 @@ def random_polynomial(
         key = tuple(exps)
         data[key] = data.get(key, 0.0j) + complex(rng.normal(), rng.normal())
     return Polynomial(nvars, data)
+
+
+PAULI = {
+    1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
+    2: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
+    3: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
+}
+
+# (a, b) -> third axis c of the cyclic or anticyclic triple, for a != b
+THIRD_AXIS = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): 3, (3, 2): 1, (1, 3): 2}
+
+
+def embed_spin_kron(axis: int, site: int, nsites: int) -> np.ndarray:
+    """I (x) sigma_axis (x) I on the 2^nsites space, ``site`` counted from 1 at the left."""
+    left = np.eye(2 ** (site - 1), dtype=np.complex128)
+    right = np.eye(2 ** (nsites - site), dtype=np.complex128)
+    return np.kron(np.kron(left, PAULI[axis]), right)
+
+
+def commutator_entries(nsites: int) -> tuple[list[CommutatorEntry], float]:
+    """Every [sigma_aj, sigma_bk] of the Kronecker embeddings, one 2-D product at a time, and the largest residual.
+
+    Same-site pairs a != b measure c = tr(sigma_c^H comm) / 2^N and keep
+    the max-abs of comm - c sigma_c; every other pair keeps the max-abs
+    of comm.
+    """
+    dim = 2**nsites
+    sigma = {(a, j): embed_spin_kron(a, j, nsites) for j in range(1, nsites + 1) for a in (1, 2, 3)}
+    entries = []
+    max_residual = 0.0
+    for j in range(1, nsites + 1):
+        for k in range(1, nsites + 1):
+            for a in (1, 2, 3):
+                for b in (1, 2, 3):
+                    comm = sigma[a, j] @ sigma[b, k] - sigma[b, k] @ sigma[a, j]
+                    target = None
+                    coeff = 0.0 + 0.0j
+                    if j == k and a != b:
+                        target = THIRD_AXIS[a, b]
+                        basis = sigma[target, j]
+                        coeff = complex(np.trace(basis.conj().T @ comm) / dim)
+                        residual = float(np.abs(comm - coeff * basis).max())
+                    else:
+                        residual = float(np.abs(comm).max())
+                    max_residual = worse(max_residual, residual)
+                    entries.append(CommutatorEntry(a, b, j, k, coeff, target, residual))
+    return entries, max_residual

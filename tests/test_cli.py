@@ -551,7 +551,7 @@ class TestZeeman:
         assert metadata["m2"] == "10.0"
         assert metadata["preset"] == "none"
 
-    @pytest.mark.parametrize("n_max", [1, 7, 24])
+    @pytest.mark.parametrize("n_max", [1, 7, 24, 2])
     @pytest.mark.parametrize(
         "system",
         [
@@ -561,11 +561,13 @@ class TestZeeman:
             ZeemanSystem(m1=5.0, m2=1.0, b=-0.7, units=Units(hbar=2.5, charge=0.3, light_speed=10.0)),
             ZeemanSystem(m1=1.0, m2=1836.15267, b=0.0),
             ZeemanSystem(m1=1.0, m2=1.0, b=1.0),
+            ZeemanSystem(m1=1.7, m2=2.9, b=-3.1),
         ],
-        ids=["hydrogen", "positronium-b2.5", "z2", "custom-units", "zero-field", "positronium"],
+        ids=["hydrogen", "positronium-b2.5", "z2", "custom-units", "zero-field", "positronium", "negative-field"],
     )
     def test_rows_match_splitting_table(self, tmp_path, system, n_max):
         # The report and splitting_table both read zeeman's separable terms; neither may drift.
+        # n_max = 2 holds both block edges, l = 0 (one m) and l = n - 1 (every m of n), at n = 2.
         config = {"m1": system.m1, "m2": system.m2, "b": system.b, "z": system.z, "n_max": n_max}
         config["units"] = asdict(system.units)
         out = tmp_path / "table.csv"
@@ -693,6 +695,11 @@ class TestArgumentHandling:
                 {"n": 20, "count": 3, "units": {"hbar": 1e-160}},
                 "underflows below 1.1125369292536009e-300 for mass = 1.0, hbar = 1e-160 and the grid span [0.0, 1.0]",
             ),
+            # Powers that Python floats raise OverflowError for, rather than return inf.
+            ("zeeman", {"preset": "hydrogen", "units": {"charge": 1e100}}, "overflows at mu"),
+            ("zeeman", {"preset": "hydrogen", "units": {"hbar": 1e200}}, "n = 1 in Units(hbar=1e+200"),
+            ("zeeman", {"b": 1e300, "n_max": 1, "units": {"charge": 1e80}}, "charge=1e+80"),
+            ("zeeman", {"preset": "hydrogen", "z": 1e200}, "z = 1e+200"),
         ],
     )
     def test_rejected_values_exit_2_without_report(self, tmp_path, capsys, command, config, fragment):

@@ -1,5 +1,7 @@
 """Embedded spin matrices: exact algebra, measured structure constants."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hamfactor.spin import (
     product_identity_residual,
     spin_dot,
 )
+from reference import commutator_entries, embed_spin_kron
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -57,6 +60,17 @@ class TestEmbedSpin:
                     assert np.trace(m) == 0
                     assert np.array_equal(m @ m, identity)
                     assert np.array_equal(m, m.conj().T)
+
+    @pytest.mark.parametrize(
+        "axis, site, nsites",
+        [(axis, site, nsites) for nsites in (1, 2, 3, 4) for site in range(1, nsites + 1) for axis in (1, 2, 3)],
+    )
+    def test_signed_permutation_equals_kron_oracle(self, axis, site, nsites):
+        # All 30 (axis, site, N) cases, down to the bits of every nonzero entry.
+        matrix, expected = embed_spin(axis, site, nsites), embed_spin_kron(axis, site, nsites)
+        assert np.array_equal(matrix, expected)
+        nonzero = expected != 0
+        assert np.array_equal(matrix[nonzero].view(np.uint64), expected[nonzero].view(np.uint64))
 
     def test_site_bounds(self):
         with pytest.raises(ValueError):
@@ -138,6 +152,15 @@ class TestCommutatorTable:
         report = commutator_table(1)
         assert "2i" in report.note
         assert "S = s/2" in report.note
+
+    @pytest.mark.parametrize("nsites", [1, 2, 3, 4])
+    def test_batched_products_equal_entrywise_oracle(self, nsites):
+        report = commutator_table(nsites)
+        entries, max_residual = commutator_entries(nsites)
+        assert report.entries == tuple(entries)
+        assert report.max_residual == max_residual
+        # The rendered entries match too, signed zeros included.
+        assert json.dumps(report.to_dict()["entries"]) == json.dumps([e.to_dict() for e in entries])
 
     def test_entry_count(self):
         # 3 x 3 axis pairs over nsites^2 site pairs.

@@ -181,6 +181,22 @@ class TestBohrEnergy:
         with pytest.raises(ValueError, match="reduced"):
             bohr_energy(1, -1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "mu, z, units",
+        [
+            (1.0, 1.0, Units(hbar=1e200)),
+            (1.0, 1.0, Units(hbar=1e154)),
+            (1.0, 1.0, Units(charge=1e100)),
+            (1.0, 1e200, Units()),
+            (1e10, 1e154, Units()),
+        ],
+        ids=["hbar-power", "hbar-product", "charge-power", "z-power", "numerator-product"],
+    )
+    def test_overflow_rejected(self, mu, z, units):
+        # Python float ** raises OverflowError where * returns inf; both are a ValueError here.
+        with pytest.raises(ValueError, match="overflows"):
+            bohr_energy(1, mu, z, units)
+
 
 class TestLevelLabel:
     """The (n, l, m, branch) labels of the table obey the quantum-number rules."""
